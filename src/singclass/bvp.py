@@ -58,22 +58,17 @@ def running_integral_samples(terms, t: np.ndarray) -> np.ndarray:
 def differentiation_matrix(N: int, scheme: str = "spectral") -> np.ndarray:
     """Periodic differentiation matrix on the grid t_i = i/N of [0, 1)."""
     D = np.zeros((N, N))
+    idx = np.arange(N)
     if scheme == "spectral":
-        for i in range(N):
-            for j in range(N):
-                if i == j:
-                    continue
-                off = i - j
-                if N % 2 == 0:
-                    D[i, j] = np.pi * (-1.0) ** off / np.tan(np.pi * off / N)
-                else:
-                    D[i, j] = np.pi * (-1.0) ** off / np.sin(np.pi * off / N)
+        off = idx[:, None] - idx[None, :]
+        sign = 1.0 - 2.0 * (off % 2)
+        trig = np.tan if N % 2 == 0 else np.sin
+        np.divide(np.pi * sign, trig(np.pi * off / N), out=D, where=off != 0)
         nyquist_scale = np.pi * N
     elif scheme == "periodic_finite_difference":
         h = 1.0 / N
-        for i in range(N):
-            D[i, (i + 1) % N] = 1.0 / (2 * h)
-            D[i, (i - 1) % N] = -1.0 / (2 * h)
+        D[idx, (idx + 1) % N] = 1.0 / (2 * h)
+        D[idx, (idx - 1) % N] = -1.0 / (2 * h)
         nyquist_scale = float(N)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -139,9 +134,27 @@ def make_periodic_bvp(problem: PeriodicProblem) -> MapModel:
     def ev(x):
         return jets.matvec(D, x) + g_of(x)
 
+    idx = np.arange(N)
+
+    def jac(x):
+        # g acts on each component alone, so g'(x) is the first-order
+        # coefficient of g(x + s*1) in one new variable s
+        s = jets.fresh_name("diag")
+        if isinstance(x, jets.Jet):
+            xs = x.extend(x.vars + (s,), x.orders + (1,))
+        else:
+            xs = jets.constant(x, (s,), (1,))
+        dg = g_of(xs + jets.unit(xs.vars, xs.orders, s)).extract({s: 1})
+        is_jet = isinstance(dg, jets.Jet)
+        c, nj = (dg.coeffs, dg.njet) if is_jet else (dg, 0)
+        out = np.zeros(c.shape[: c.ndim - nj] + (N,) + c.shape[c.ndim - nj :])
+        out[(Ellipsis, slice(None), slice(None)) + (0,) * nj] = D
+        out[(Ellipsis, idx, idx) + (slice(None),) * nj] += c
+        return jets.Jet(dg.vars, dg.orders, out) if is_jet else out
+
     label = f"bvp({kind},N={N},{problem.scheme})"
     meta = {"grid": t, "D": D, "a": a, "p": p, "N": N, "scheme": problem.scheme}
-    return MapModel(N, SMOOTH, ev, label, meta)
+    return MapModel(N, SMOOTH, ev, label, meta, jac=jac)
 
 
 @dataclass(frozen=True)

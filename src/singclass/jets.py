@@ -431,9 +431,15 @@ def jacobian(model, x) -> "Jet | np.ndarray":
     """Jacobian F'(x) of a MapModel-like object, at a plain or jet point.
 
     Returns ``J[..., i, j] = dF_i/dx_j`` in the same representation as ``x``
-    (plain array for a plain point, jet for a jet point).  Costs one model
-    evaluation batched over the probe directions.
+    (plain array for a plain point, jet for a jet point).  Uses the model's
+    own ``jac`` when it has one; otherwise costs one model evaluation batched
+    over the n probe directions.
     """
+    if not isinstance(x, Jet):
+        x = np.asarray(x, dtype=float)
+    jac = getattr(model, "jac", None)
+    if jac is not None:
+        return jac(x)
     pv = fresh_name("jac")
     n = model.n
     if isinstance(x, Jet):
@@ -441,7 +447,7 @@ def jacobian(model, x) -> "Jet | np.ndarray":
         vnd = base.value_ndim
         base = Jet(base.vars, base.orders, np.expand_dims(base.coeffs, axis=vnd - 1))
     else:
-        base = constant(np.asarray(x, dtype=float)[..., None, :], (pv,), (1,))
+        base = constant(x[..., None, :], (pv,), (1,))
     probe = unit(base.vars, base.orders, pv)
     X = base + probe * np.eye(n)
     Y = model.eval(X)

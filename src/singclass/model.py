@@ -16,13 +16,19 @@ SMOOTH = 64  # sentinel smoothness order for C-infinity models
 
 @dataclass(frozen=True)
 class MapModel:
-    """A smooth map F: R^n -> R^n evaluable at plain and jet-valued points."""
+    """A smooth map F: R^n -> R^n evaluable at plain and jet-valued points.
+
+    ``jac``, when given, evaluates the Jacobian F'(x) at plain and jet points
+    with value shape ``(..., n, n)``; it must equal the probe Jacobian of
+    ``eval`` (see ``jets.jacobian``).
+    """
 
     n: int
     d: int
     eval: Callable
     label: str
     meta: dict = field(default_factory=dict, repr=False, compare=False)
+    jac: Callable | None = field(default=None, repr=False, compare=False)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         return np.asarray(self.eval(np.asarray(u, dtype=float)), dtype=float)
@@ -91,7 +97,18 @@ def conjugate(model: MapModel, pair: AffinePair) -> MapModel:
         u = jets.matvec(g_inv, x - g_shift)
         return jets.matvec(d_mat, model.eval(u)) + d_shift
 
-    return MapModel(model.n, model.d, ev, label=f"{model.label}~affine", meta=dict(model.meta))
+    jac = None
+    if model.jac is not None:
+        g_inv_t = g_inv.T
+
+        def jac(x):
+            # delta . J(gamma^{-1} x) . gamma^{-1}; matvec acts on the last axis
+            J = model.jac(jets.matvec(g_inv, x - g_shift))
+            right = jets.transpose_mat(jets.matvec(g_inv_t, J))
+            return jets.transpose_mat(jets.matvec(d_mat, right))
+
+    return MapModel(model.n, model.d, ev, label=f"{model.label}~affine", meta=dict(model.meta),
+                    jac=jac)
 
 
 def is_simple_singularity(model: MapModel, u, tol: float = linalg.DEFAULT_RANK_TOL):

@@ -33,5 +33,34 @@ def reference_truncated_convolution(a: np.ndarray, b: np.ndarray, orders) -> np.
     return out
 
 
+def reference_differentiation_matrix(N: int, scheme: str = "spectral") -> np.ndarray:
+    """Entry-by-entry construction of ``bvp.differentiation_matrix``; the
+    oracle for its vectorized fill."""
+    D = np.zeros((N, N))
+    if scheme == "spectral":
+        for i in range(N):
+            for j in range(N):
+                if i == j:
+                    continue
+                off = i - j
+                if N % 2 == 0:
+                    D[i, j] = np.pi * (-1.0) ** off / np.tan(np.pi * off / N)
+                else:
+                    D[i, j] = np.pi * (-1.0) ** off / np.sin(np.pi * off / N)
+        nyquist_scale = np.pi * N
+    elif scheme == "periodic_finite_difference":
+        h = 1.0 / N
+        for i in range(N):
+            D[i, (i + 1) % N] = 1.0 / (2 * h)
+            D[i, (i - 1) % N] = -1.0 / (2 * h)
+        nyquist_scale = float(N)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if N % 2 == 0:
+        s = (-1.0) ** np.arange(N)
+        D = D + (nyquist_scale / N) * np.outer(s, s)
+    return D
+
+
 def gallery_points(model: MapModel, rng: np.random.Generator, count: int, radius: float = 0.5):
     return [radius * rng.standard_normal(model.n) for _ in range(count)]

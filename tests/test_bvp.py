@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from helpers import reference_differentiation_matrix
 from singclass import jets
 from singclass.bvp import (
     PeriodicProblem,
@@ -15,7 +18,7 @@ from singclass.classify import classify_point
 from singclass.errors import AliasedCoefficients, ParamOutOfRange
 from singclass.fibering import PointFunctionals
 from singclass.linalg import kernel_cokernel, rank_decision
-from singclass.model import is_simple_singularity
+from singclass.model import conjugate, is_simple_singularity, random_affine_pair
 
 A_SIN = ((1, 0.0, 1.0),)  # a(t) = sin(2 pi t)
 P_ONE = ((0, 1.0, 0.0),)  # p(t) = 1
@@ -43,6 +46,12 @@ class TestDifferentiation:
         kdim, ker, _ = kernel_cokernel(D)
         assert kdim == 1
         assert np.std(ker[0]) < 1e-12  # the constants direction
+
+    @pytest.mark.parametrize("scheme", ["spectral", "periodic_finite_difference"])
+    @pytest.mark.parametrize("N", [16, 17, 32, 33, 64, 128, 256, 512, 1024])
+    def test_matches_entrywise_reference(self, scheme, N):
+        assert np.array_equal(differentiation_matrix(N, scheme),
+                              reference_differentiation_matrix(N, scheme))
 
     def test_fd_first_order_accuracy(self):
         N = 128
@@ -92,6 +101,72 @@ class TestModelConstruction:
         u = 0.1 * np.cos(2 * np.pi * t)
         expect = differentiation_matrix(32) @ u + np.sin(2 * np.pi * t) * (np.exp(0.5 * u) - 1)
         np.testing.assert_allclose(model(u), expect, atol=1e-12)
+
+
+G_KINDS = {
+    "quartic": {"p_terms": ((0, 1.0, 0.0), (2, 0.3, -0.4))},
+    "poly": {"g_coeffs": (0.2, -1.0, 0.5, 2.0, -0.7)},
+    "exp": {"g_beta": 0.8},
+}
+
+
+def _max_rel_diff(got, want) -> float:
+    if isinstance(want, jets.Jet):
+        assert isinstance(got, jets.Jet) and got.ctx() == want.ctx()
+        got, want = got.coeffs, want.coeffs
+    assert got.shape == want.shape
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestStructuredJacobian:
+    """The periodic problem's own Jacobian against the probe Jacobian of the
+    same map."""
+
+    @staticmethod
+    def points(N, rng):
+        names = (jets.fresh_name("a"), jets.fresh_name("b"))
+        orders = (2, 1)
+        x = jets.constant(0.3 * rng.standard_normal((3, N)), names, orders)
+        x = x + jets.unit(names, orders, names[0]) * rng.standard_normal((3, N))
+        x = x + jets.unit(names, orders, names[1]) * rng.standard_normal(N)
+        return 0.3 * rng.standard_normal(N), x
+
+    @pytest.mark.parametrize("scheme", ["spectral", "periodic_finite_difference"])
+    @pytest.mark.parametrize("N", [16, 21])
+    @pytest.mark.parametrize("kind", sorted(G_KINDS))
+    def test_matches_probe_jacobian(self, kind, N, scheme):
+        rng = np.random.default_rng(N)
+        problem = PeriodicProblem(N=N, a_terms=((0, 0.4, 0.0),) + A_SIN, g_kind=kind,
+                                  scheme=scheme, **G_KINDS[kind])
+        model = make_periodic_bvp(problem)
+        assert model.jac is not None
+        for m in (model, conjugate(model, random_affine_pair(N, rng))):
+            probe = dataclasses.replace(m, jac=None)
+            for x in self.points(N, rng):
+                got = jets.jacobian(m, x)
+                want = jets.jacobian(probe, x)
+                assert _max_rel_diff(got, want) <= 1e-13
+
+    def test_conjugate_keeps_probe_fallback(self):
+        model = make_periodic_bvp(PeriodicProblem(N=16, a_terms=A_SIN))
+        probe = dataclasses.replace(model, jac=None)
+        moved = conjugate(probe, random_affine_pair(16, np.random.default_rng(0)))
+        assert moved.jac is None
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    @pytest.mark.parametrize("N", [32, 48])
+    def test_classification_unchanged_without_jac(self, N, p):
+        model = make_periodic_bvp(PeriodicProblem(N=N, a_terms=A_SIN, p_terms=((0, p, 0.0),)))
+        fast = classify_point(model, np.zeros(N), route="both")
+        slow = classify_point(dataclasses.replace(model, jac=None), np.zeros(N), route="both")
+        assert fast.describe() == slow.describe()
+        assert fast.evidence.route_agreement and slow.evidence.route_agreement
+        for a, b in zip(fast.evidence.routes, slow.evidence.routes):
+            assert a.route == b.route and len(a.J_values) == len(b.J_values)
+            for ja, jb in zip(a.J_values, b.J_values):
+                assert ja == pytest.approx(jb, rel=1e-12, abs=1e-12)
+            if p:
+                assert a.J_values[3] == pytest.approx(24.0 * N**-1.5, rel=1e-9)
 
 
 class TestAnalyticOracle:
