@@ -7,10 +7,10 @@ fold/cusp-type ordinary singularities, maximal transverse singularities and
 transversality up to a finite order cap.
 """
 
-from .classify import Classification, Tolerances, classify_point, transversality_order
-from .fibering import fibering_functionals, make_fibering_pair, pair_transform, rescale_pair
+from .classify import Classification, Tolerances, classify_point
+from .fibering import make_fibering_pair, rescale_pair
 from .gallery import gallery_map, list_gallery
-from .lsreduce import canonical_functionals, local_representation, ls_conditions
+from .lsreduce import local_representation
 from .model import AffinePair, MapModel, conjugate, is_simple_singularity
 
 __all__ = [
@@ -18,17 +18,12 @@ __all__ = [
     "Classification",
     "MapModel",
     "Tolerances",
-    "canonical_functionals",
     "classify_point",
     "conjugate",
-    "fibering_functionals",
     "gallery_map",
     "is_simple_singularity",
     "list_gallery",
     "local_representation",
-    "ls_conditions",
     "make_fibering_pair",
-    "pair_transform",
     "rescale_pair",
-    "transversality_order",
 ]

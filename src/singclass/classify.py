@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import jets, linalg
+from . import linalg
 from .errors import DepthCapExceeded
 from .fibering import PairBase, PointFunctionals, make_fibering_pair
-from .lsreduce import LSModel, canonical_functionals, local_representation
+from .lsreduce import local_representation
 from .model import MapModel
 
 REGULAR = "Regular"
@@ -48,6 +48,15 @@ class Tolerances:
             raise ValueError("tolerances must be positive")
         if self.zero >= self.nonzero:
             raise ValueError("tol_zero must be strictly below tol_nonzero")
+
+    def zero_state(self, value: float, scale: float) -> str:
+        """The one zero test: ``'zero'`` when |value| <= zero * scale,
+        ``'nonzero'`` when |value| >= nonzero * scale, ``'band'`` between."""
+        if abs(value) <= self.zero * scale:
+            return "zero"
+        if abs(value) >= self.nonzero * scale:
+            return "nonzero"
+        return "band"
 
 
 @dataclass
@@ -96,53 +105,10 @@ class Classification:
         return self.kind == other.kind and self.k == other.k
 
 
-class _FiberingProvider:
-    route = "fibering"
-
-    def __init__(self, model: MapModel, pair: PairBase, u, tol: Tolerances):
-        self.pf = PointFunctionals(model, pair, u, tol.rank)
-        self.pair_id = pair.pair_id
-
-    def J(self, k: int) -> float:
-        return self.pf.J(k)
-
-    def row(self, k: int) -> np.ndarray:
-        return self.pf.row(k)
-
-
-class _LSProvider:
-    route = "ls"
-
-    def __init__(self, ls: LSModel, tol: Tolerances):
-        self.ls = ls
-        self.pair_id = "canonical-ls"
-        self._record = None
-        self._k_max = -1
-
-    def _ensure(self, k: int):
-        if k > self._k_max:
-            self._record = canonical_functionals(self.ls, k)
-            self._k_max = k
-
-    def J(self, k: int) -> float:
-        self._ensure(k)
-        return self._record.J[k]
-
-    def row(self, k: int) -> np.ndarray:
-        self._ensure(k)
-        return self._record.I[k - 1]
-
-
-def _zero_state(value: float, scale: float, tol: Tolerances) -> str:
-    if abs(value) <= tol.zero * scale:
-        return "zero"
-    if abs(value) >= tol.nonzero * scale:
-        return "nonzero"
-    return "band"
-
-
-def _run_route(provider, k_cap: int, d: int, tol: Tolerances) -> RouteEvidence:
-    ev = RouteEvidence(route=provider.route, pair_id=provider.pair_id)
+def _run_route(route: str, pair_id: str, functionals, k_cap: int, d: int,
+               tol: Tolerances) -> RouteEvidence:
+    """The decision loop over one route's ``J(k)`` / ``row(k)`` functionals."""
+    ev = RouteEvidence(route=route, pair_id=pair_id)
 
     def finish(kind, k, t_order, stage=None):
         ev.kind = kind
@@ -151,13 +117,13 @@ def _run_route(provider, k_cap: int, d: int, tol: Tolerances) -> RouteEvidence:
         ev.stage = stage
         return ev
 
-    j0 = provider.J(0)
+    j0 = functionals.J(0)
     ev.J_values.append(j0)
     scale = max(1.0, abs(j0))
-    if _zero_state(j0, scale, tol) != "zero":
+    if tol.zero_state(j0, scale) != "zero":
         return finish(INDETERMINATE, None, 0, "J_0")
 
-    rows = [provider.row(1)]
+    rows = [functionals.row(1)]
     dec = linalg.rank_decision(np.array(rows), tol.rank)
     ev.singular_values[1] = list(dec.singular_values)
     if dec.rank == 0:
@@ -165,10 +131,10 @@ def _run_route(provider, k_cap: int, d: int, tol: Tolerances) -> RouteEvidence:
 
     k = 1
     while True:
-        jk = provider.J(k)
+        jk = functionals.J(k)
         ev.J_values.append(jk)
         scale = max(scale, abs(jk))
-        state = _zero_state(jk, scale, tol)
+        state = tol.zero_state(jk, scale)
         if state == "nonzero":
             return finish(K_SINGULARITY, k, k)
         if state == "band":
@@ -178,7 +144,7 @@ def _run_route(provider, k_cap: int, d: int, tol: Tolerances) -> RouteEvidence:
         if k + 1 > d - 1:
             return finish(MAXIMAL_K_TRANSVERSE, k, k)
         try:
-            rows.append(provider.row(k + 1))
+            rows.append(functionals.row(k + 1))
         except DepthCapExceeded:
             return finish(TRANSVERSE_UP_TO_CAP, k, k)
         dec = linalg.rank_decision(np.array(rows), tol.rank)
@@ -210,14 +176,12 @@ def classify_point(
         raise ValueError(f"unknown route {route!r}")
     if not 1 <= k_cap <= K_CAP_MAX:
         raise ValueError(f"k_cap must be between 1 and {K_CAP_MAX}")
-    u = np.asarray(u, dtype=float)
-    A = jets.jacobian(model, u)
-    sv = np.linalg.svd(A, compute_uv=False)
-    kdim, _, _ = linalg.kernel_cokernel(A, tol.rank)
+    lin = linalg.linearize(model, u, tol.rank)
+    kdim = lin.kdim
     report = ClassificationReport(
-        point=u,
+        point=lin.u,
         kdim=kdim,
-        jacobian_singular_values=[float(s) for s in sv],
+        jacobian_singular_values=[float(s) for s in lin.singular_values],
         tolerances=tol,
         route=route,
         routes=[],
@@ -227,16 +191,15 @@ def classify_point(
     if kdim >= 2:
         return Classification(NON_SIMPLE, kdim, kdim, 0, None, report)
 
-    providers = []
+    k_cap = min(k_cap, model.d - 1)
     if route in ("fibering", "both"):
-        providers.append(
-            _FiberingProvider(model, pair if pair is not None else make_fibering_pair(model, u, tol.rank), u, tol)
-        )
+        if pair is None:
+            pair = make_fibering_pair(model, lin, tol.rank)
+        pf = PointFunctionals(model, pair, lin, tol.rank)
+        report.routes.append(_run_route("fibering", pair.pair_id, pf, k_cap, model.d, tol))
     if route in ("ls", "both"):
-        providers.append(_LSProvider(local_representation(model, u, tol.rank), tol))
-
-    for provider in providers:
-        report.routes.append(_run_route(provider, min(k_cap, model.d - 1), model.d, tol))
+        ls = local_representation(model, lin, tol.rank)
+        report.routes.append(_run_route("ls", "canonical-ls", ls, k_cap, model.d, tol))
 
     if len(report.routes) == 2:
         a, b = report.routes
@@ -246,8 +209,3 @@ def classify_point(
             return Classification(INDETERMINATE, None, 1, t_order, "route-disagreement", report)
     ev = report.routes[0]
     return Classification(ev.kind, ev.k, 1, ev.transversality_order, ev.stage, report)
-
-
-def transversality_order(result: Classification) -> int:
-    """Largest order whose transversality evidence passed (0 when not 1-transverse)."""
-    return result.transversality_order

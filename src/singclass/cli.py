@@ -397,7 +397,7 @@ def cmd_strata(cfg: AnalysisConfig) -> int:
     entries += [
         ("projected.point", [float(x) for x in projected]),
         ("membership.h", cfg.stratum_h),
-        ("membership.member", bool(member)),
+        ("membership.member", member),
         ("membership.J", [float(v) for v in vals]),
         ("sample.count", len(sample.points)),
         ("sample.seed", sample.seed),
@@ -406,7 +406,7 @@ def cmd_strata(cfg: AnalysisConfig) -> int:
         ("sample.points", [[float(x) for x in p] for p in sample.points]),
     ]
     _emit(cfg, entries)
-    return EXIT_OK
+    return EXIT_INDETERMINATE if member is None else EXIT_OK
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

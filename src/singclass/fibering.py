@@ -27,18 +27,9 @@ import numpy as np
 from . import jets, linalg
 from .errors import DepthCapExceeded, NotSimple, OrderExceedsSmoothness, VanishingScale
 from .jets import Jet
-from .model import AffinePair, MapModel, conjugate
+from .model import MapModel
 
 _ROW_BATCH_BUDGET = 1 << 20  # floats per jet intermediate when batching probes
-
-
-@dataclass(frozen=True)
-class FunctionalsRecord:
-    J: list[float]
-    I: list[np.ndarray]
-    at: np.ndarray
-    pair_id: str
-    k_max: int
 
 
 class PairBase:
@@ -167,57 +158,24 @@ class ExplicitPair(PairBase):
         return self.psi_fn(x)
 
 
-class TransformedPair(PairBase):
-    """Push-forward of a pair under an affine change of coordinates.
-
-    For gamma(u) = A u + a and delta(y) = B y + b the transformed fields are
-    phi~(x) = A phi(gamma^{-1} x) and psi~(x) = B^{-T} psi(gamma^{-1} x); the
-    scalar functionals of the transformed pair at gamma(u) then reproduce the
-    originals at u exactly.
-    """
-
-    def __init__(self, inner: PairBase, affine: AffinePair, inner_model: MapModel):
-        self.inner = inner
-        self.affine = affine
-        self.inner_model = inner_model
-        self._binv_t = np.linalg.inv(affine.delta_mat).T
-        self.base_point = np.asarray(affine.apply_gamma(inner.base_point), dtype=float)
-
-    @property
-    def pair_id(self) -> str:
-        return f"transformed<-{self.inner.pair_id}"
-
-    def prepare(self, pf):
-        u_in = self.affine.apply_gamma_inv(pf.u)
-        pf.inner_pf = PointFunctionals(self.inner_model, self.inner, u_in, pf.tol)
-
-    def phi(self, pf, x, Fp):
-        u_in = self.affine.apply_gamma_inv(x)
-        Fp_in = jets.jacobian(self.inner_model, u_in)
-        ph = self.inner.phi(pf.inner_pf, u_in, Fp_in)
-        return jets.matvec(self.affine.gamma_mat, ph)
-
-    def psi(self, pf, x, Fp):
-        u_in = self.affine.apply_gamma_inv(x)
-        Fp_in = jets.jacobian(self.inner_model, u_in)
-        ps = self.inner.psi(pf.inner_pf, u_in, Fp_in)
-        return jets.matvec(self._binv_t, ps)
-
-
 class PointFunctionals:
     """Fibering functionals of one (model, pair) anchored at one point.
 
     Rows I_k are gradients of J_{k-1}: each component is one nested-jet
     evaluation with a probe direction (probes are batched through a leading
-    value axis), and J_k = I_k . phi(u).
+    value axis), and J_k = I_k . phi(u).  ``u`` is a plain point or the
+    point's ``linalg.Linearization``, whose F'(u) is then reused.
     """
 
     def __init__(self, model: MapModel, pair: PairBase, u, tol: float = linalg.DEFAULT_RANK_TOL):
         self.model = model
         self.pair = pair
-        self.u = np.asarray(u, dtype=float)
         self.tol = tol
-        self.Fp0 = jets.jacobian(model, self.u)
+        if isinstance(u, linalg.Linearization):
+            self.u, self.Fp0 = u.u, u.A
+        else:
+            self.u = np.asarray(u, dtype=float)
+            self.Fp0 = jets.jacobian(model, self.u)
         pair.prepare(self)
         self.phi0 = np.asarray(pair.phi(self, self.u, self.Fp0), dtype=float)
         self.psi0 = np.asarray(pair.psi(self, self.u, self.Fp0), dtype=float)
@@ -276,43 +234,17 @@ class PointFunctionals:
         self._rows[k] = out
         return out
 
-    def lie_J(self, k: int) -> float:
-        """J_k recomputed as a depth-k nested Lie derivative (cross-check route)."""
-        return float(jets.lie_value(self.j0_at, self._phi_field, self.u, k))
-
 
 def make_fibering_pair(model: MapModel, u0, tol: float = linalg.DEFAULT_RANK_TOL) -> FiberingPair:
-    """Bordered pair at a simple singularity: b spans the cokernel, c the kernel."""
-    u0 = np.asarray(u0, dtype=float)
-    A = jets.jacobian(model, u0)
-    kdim, kernel, left = linalg.kernel_cokernel(A, tol)
-    if kdim != 1:
-        raise NotSimple(f"kernel dimension is {kdim}, expected 1")
-    return FiberingPair(u0, left[0], kernel[0])
+    """Bordered pair at a simple singularity: b spans the cokernel, c the
+    kernel.  ``u0`` is a plain point or its ``linalg.Linearization``."""
+    lin = linalg.linearize(model, u0, tol)
+    if lin.kdim != 1:
+        raise NotSimple(f"kernel dimension is {lin.kdim}, expected 1")
+    return FiberingPair(lin.u, lin.cokernel[:, 0], lin.kernel[:, 0])
 
 
 def rescale_pair(pair: PairBase, alpha_spec: ScaleSpec, beta_spec: ScaleSpec) -> RescaledPair:
     alpha_spec.validate()
     beta_spec.validate()
     return RescaledPair(pair, alpha_spec, beta_spec)
-
-
-def pair_transform(pair: PairBase, affine: AffinePair, model: MapModel,
-                   transformed_model: MapModel | None = None) -> TransformedPair:
-    if transformed_model is None:
-        transformed_model = conjugate(model, affine)
-    if transformed_model.n != model.n:
-        raise ValueError("dimension mismatch between models")
-    return TransformedPair(pair, affine, model)
-
-
-def fibering_functionals(model: MapModel, pair: PairBase, u, k_max: int,
-                         tol: float = linalg.DEFAULT_RANK_TOL) -> FunctionalsRecord:
-    if k_max > min(model.d - 1, jets.NESTING_CAP):
-        raise DepthCapExceeded(
-            f"k_max {k_max} exceeds min(d - 1, {jets.NESTING_CAP}) = {min(model.d - 1, jets.NESTING_CAP)}"
-        )
-    pf = PointFunctionals(model, pair, u, tol)
-    J = [pf.J(k) for k in range(k_max + 1)]
-    I = [pf.row(k) for k in range(1, k_max + 1)]
-    return FunctionalsRecord(J=J, I=I, at=pf.u, pair_id=pair.pair_id, k_max=k_max)

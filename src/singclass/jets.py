@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
-    DepthCapExceeded,
     DivisionByZeroJet,
     DomainError,
     OrderExceedsSmoothness,
@@ -467,35 +466,3 @@ def directional_derivatives(model, u, v, m: int) -> list[np.ndarray]:
     x = constant(u, (name,), (m,)) + unit((name,), (m,), name) * v
     y = model.eval(x)
     return [math.factorial(i) * y.extract({name: i}) for i in range(m + 1)]
-
-
-def lie_value(scalar_field: Callable, vector_field: Callable, x0, depth: int):
-    """Iterated Lie derivative of ``scalar_field`` along ``vector_field``.
-
-    ``x0`` may be a plain point or a jet point; the vector field is
-    re-evaluated at the jet-valued point of every layer, so it may depend on
-    position.  Returns the value in the residual context of ``x0``.
-    """
-    if depth > NESTING_CAP:
-        raise DepthCapExceeded(f"nested depth {depth} exceeds cap {NESTING_CAP}")
-    if depth == 0:
-        return scalar_field(x0)
-    names = [fresh_name("lie") for _ in range(depth)]
-    if isinstance(x0, Jet):
-        variables = x0.vars + tuple(names)
-        orders = x0.orders + (1,) * depth
-        x = x0.extend(variables, orders)
-    else:
-        variables = tuple(names)
-        orders = (1,) * depth
-        x = constant(np.asarray(x0, dtype=float), variables, orders)
-    for name in names:
-        x = x + unit(variables, orders, name) * vector_field(x)
-    g = scalar_field(x)
-    return g.extract({name: 1 for name in names})
-
-
-def nested_lie_derivative(scalar_field: Callable, vector_field: Callable, u, depth: int) -> float:
-    """(L_xi)^depth g at the plain point ``u``."""
-    out = lie_value(scalar_field, vector_field, np.asarray(u, dtype=float), depth)
-    return float(out)

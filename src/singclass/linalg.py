@@ -1,6 +1,6 @@
-"""Dense small-matrix numerics: ranks with explicit tolerances, kernel and
-cokernel bases, bordered solves (plain and in jet arithmetic), and dual
-witness vectors certifying independence of functional rows."""
+"""Dense small-matrix numerics: ranks with explicit tolerances, the
+linearization of a map at a point (kernel, cokernel and range from one SVD),
+and bordered solves (plain and in jet arithmetic)."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from . import jets
-from .errors import NotIndependent, SingularBorder
+from .errors import SingularBorder
 from .jets import Jet
 
 DEFAULT_RANK_TOL = 1e-8
@@ -23,18 +23,18 @@ class RankDecision:
     tol_used: float
 
 
-def rank_decision(rows: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> RankDecision:
-    """Numerical rank of a stack of rows.
+def _numerical_rank(sv: np.ndarray, tol: float) -> int:
+    """Count of singular values above ``tol * max(1, sigma_max)``; the
+    ``max(1, .)`` floor keeps all-zero and tiny-noise matrices at rank zero
+    without a separate absolute threshold."""
+    return int(np.sum(sv > tol * max(1.0, float(sv[0]) if sv.size else 0.0)))
 
-    A singular value counts toward the rank when it exceeds
-    ``tol * max(1, sigma_max)``; the ``max(1, .)`` floor keeps all-zero and
-    tiny-noise rows at rank zero without a separate absolute threshold.
-    """
+
+def rank_decision(rows: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> RankDecision:
+    """Numerical rank of a stack of rows."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     sv = np.linalg.svd(rows, compute_uv=False)
-    thresh = tol * max(1.0, float(sv[0]) if sv.size else 0.0)
-    rank = int(np.sum(sv > thresh))
-    return RankDecision(rank, tuple(float(s) for s in sv), tol)
+    return RankDecision(_numerical_rank(sv, tol), tuple(float(s) for s in sv), tol)
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
@@ -43,29 +43,47 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     SVD leaves the sign of each singular vector free; fixing it makes kernel
     bases (and everything derived from them) reproducible across runs.
     """
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0:
-            out[:, j] = -col
-    return out
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    return vecs * np.where(lead < 0, -1.0, 1.0)
 
 
-def kernel_cokernel(A: np.ndarray, tol: float = DEFAULT_RANK_TOL):
-    """Kernel dimension plus orthonormal kernel and left-null bases of a
-    square matrix, with deterministic sign conventions."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("kernel_cokernel expects a square matrix")
-    U, sv, Vt = np.linalg.svd(A)
-    thresh = tol * max(1.0, float(sv[0]) if sv.size else 0.0)
-    rank = int(np.sum(sv > thresh))
-    kdim = n - rank
-    kernel = _fix_signs(Vt[rank:].T) if kdim else np.zeros((n, 0))
-    left = _fix_signs(U[:, rank:]) if kdim else np.zeros((n, 0))
-    return kdim, [kernel[:, j] for j in range(kdim)], [left[:, j] for j in range(kdim)]
+@dataclass(frozen=True)
+class Linearization:
+    """F'(u) at one point and what both routes read off it, all from one SVD
+    ``A = U diag(sigma) V^T``: the rank, the sign-fixed kernel basis (columns
+    of V) and cokernel basis (columns of U) past the rank, and the range
+    basis ``U[:, :rank]``."""
+
+    u: np.ndarray | None
+    A: np.ndarray
+    singular_values: np.ndarray
+    rank: int
+    kernel: np.ndarray        # n x kdim
+    cokernel: np.ndarray      # n x kdim, left null vectors
+    range_basis: np.ndarray   # n x rank
+
+    @property
+    def kdim(self) -> int:
+        return self.A.shape[0] - self.rank
+
+    @classmethod
+    def of_matrix(cls, A, tol: float = DEFAULT_RANK_TOL, u=None) -> "Linearization":
+        A = np.asarray(A, dtype=float)
+        n = A.shape[0]
+        if A.shape != (n, n):
+            raise ValueError("a linearization needs a square matrix")
+        U, sv, Vt = np.linalg.svd(A)
+        rank = _numerical_rank(sv, tol)
+        return cls(u, A, sv, rank, _fix_signs(Vt[rank:].T), _fix_signs(U[:, rank:]), U[:, :rank])
+
+
+def linearize(model, u, tol: float = DEFAULT_RANK_TOL) -> Linearization:
+    """Linearization of a MapModel at the plain point ``u``: one Jacobian and
+    one SVD.  A Linearization passed as ``u`` is returned unchanged."""
+    if isinstance(u, Linearization):
+        return u
+    u = np.asarray(u, dtype=float)
+    return Linearization.of_matrix(jets.jacobian(model, u), tol, u)
 
 
 def _border_matrix(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -142,7 +160,7 @@ def border_factor(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = DEFA
     """Factor the bordered matrix [[A, b], [c^T, 0]], checking regularity."""
     M0 = _border_matrix(np.asarray(A, dtype=float), b, c)
     sv = np.linalg.svd(M0, compute_uv=False)
-    if sv[-1] <= tol * max(1.0, sv[0]):
+    if _numerical_rank(sv, tol) < sv.size:
         raise SingularBorder(
             f"bordered matrix rank-deficient: sigma_min/sigma_max = {sv[-1] / sv[0]:.3e}"
         )
@@ -185,18 +203,3 @@ def bordered_solve(A, b, c, rhs, tol: float = DEFAULT_RANK_TOL, lu_piv=None, tra
     rr[n] = r2
     sol = lu_solve(lu_piv, rr, trans=trans)
     return sol[:n], float(sol[n])
-
-
-def dual_witnesses(rows: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> list[np.ndarray]:
-    """Minimum-norm vectors w_j with rows @ w_j = e_j.
-
-    These certify independence of the rows (they exist precisely when the
-    stack has full row rank).
-    """
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    k = rows.shape[0]
-    dec = rank_decision(rows, tol)
-    if dec.rank != k:
-        raise NotIndependent(f"rows have rank {dec.rank} < {k}")
-    W = np.linalg.pinv(rows)
-    return [W[:, j] for j in range(k)]

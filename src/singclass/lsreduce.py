@@ -25,7 +25,6 @@ from scipy.linalg import lu_factor
 
 from . import jets, linalg
 from .errors import IllConditioned, NotSimple, OrderExceedsSmoothness
-from .fibering import FunctionalsRecord
 from .jets import Jet
 from .model import MapModel
 
@@ -37,8 +36,6 @@ class LSModel:
     kernel_vec: np.ndarray        # c, unit kernel vector of F'(u0)
     left_null_vec: np.ndarray     # w, unit left-null vector of F'(u0)
     range_basis: np.ndarray       # Q, n x (n-1), orthonormal basis of w-perp
-    p: np.ndarray                 # projector onto the kernel line
-    pi: np.ndarray                # projector onto the range of F'(u0)
     alpha_lu: object
     cond_alpha: float
     model: MapModel
@@ -112,106 +109,47 @@ class LSModel:
         tname = j.vars[0]
         return float(j.extract({tname: order})) * math.factorial(order)
 
-    def mixed_rows(self, k_max: int) -> np.ndarray:
-        """Rows M[h-1, j] = d^{h+1} f / (dt^h dz_j) at (0,0), h = 1..k_max."""
-        n = self.n
-        if n == 1 or k_max == 0:
-            return np.zeros((k_max, max(n - 1, 0)))
-        j = self.f_jet(k_max, tuple(range(n - 1)))
-        tname, zname = j.vars
-        out = np.zeros((k_max, n - 1))
-        for h in range(1, k_max + 1):
-            out[h - 1] = np.asarray(j.extract({tname: h, zname: 1})) * math.factorial(h)
+    # -- the route functionals, read by the decision loop ---------------------
+
+    def J(self, k: int) -> float:
+        """J_k = d^{k+1} f / dt^{k+1} at (0, 0)."""
+        return self.f_partial_t(k + 1)
+
+    def row(self, k: int) -> np.ndarray:
+        """I_k = (d^{k+1} f / dt^{k+1}, d^{k+1} f / dt^k dz) at (0, 0)."""
+        out = np.zeros(self.n)
+        out[0] = self.J(k)
+        if self.n > 1:
+            j = self.f_jet(k, tuple(range(self.n - 1)))
+            tname, zname = j.vars
+            out[1:] = np.asarray(j.extract({tname: k, zname: 1})) * math.factorial(k)
         return out
 
 
 def local_representation(model: MapModel, u0, tol: float = linalg.DEFAULT_RANK_TOL) -> LSModel:
-    """Build the local reduction at u0; fails unless u0 is a simple singularity."""
-    u0 = np.asarray(u0, dtype=float)
-    A = jets.jacobian(model, u0)
-    kdim, kernel, left = linalg.kernel_cokernel(A, tol)
-    if kdim != 1:
-        raise NotSimple(f"kernel dimension is {kdim}, expected 1")
-    c = kernel[0]
-    w = left[0]
-    n = model.n
-    # orthonormal basis of the range (the orthogonal complement of w)
-    U, _, _ = np.linalg.svd(np.eye(n) - np.outer(w, w))
-    Q = linalg._fix_signs(U[:, : n - 1]) if n > 1 else np.zeros((1, 0))
-    Aprime = np.vstack([c[None, :], Q.T @ A])
-    sv = np.linalg.svd(Aprime, compute_uv=False)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+    """Build the local reduction at u0; fails unless u0 is a simple singularity.
+
+    ``u0`` is a plain point or its ``linalg.Linearization``.  With the SVD
+    F'(u0) = U diag(sigma) V^T, c and w are the last columns of V and U and
+    Q = U[:, :n-1], so alpha'(u0) = [c^T; Q^T F'(u0)] has the singular values
+    sigma_1 .. sigma_{n-1} and 1, and its condition number needs no new SVD.
+    """
+    lin = linalg.linearize(model, u0, tol)
+    if lin.kdim != 1:
+        raise NotSimple(f"kernel dimension is {lin.kdim}, expected 1")
+    c = lin.kernel[:, 0]
+    Q = lin.range_basis
+    kept = lin.singular_values[: lin.rank]
+    cond = float(np.max(kept, initial=1.0) / np.min(kept, initial=1.0))
     if cond > 1e8:
         raise IllConditioned(f"linearized coordinate change has condition {cond:.3e}")
     return LSModel(
-        u0=u0,
-        F_u0=np.asarray(model(u0), dtype=float),
+        u0=lin.u,
+        F_u0=np.asarray(model(lin.u), dtype=float),
         kernel_vec=c,
-        left_null_vec=w,
+        left_null_vec=lin.cokernel[:, 0],
         range_basis=Q,
-        p=np.outer(c, c),
-        pi=np.eye(n) - np.outer(w, w),
-        alpha_lu=lu_factor(Aprime),
+        alpha_lu=lu_factor(np.vstack([c[None, :], Q.T @ lin.A])),
         cond_alpha=cond,
         model=model,
-    )
-
-
-def canonical_functionals(ls: LSModel, k_max: int) -> FunctionalsRecord:
-    """Functionals of the reduced scalar: J_h = d^{h+1} f / dt^{h+1} and rows
-    I_h = (d^{h+1} f/dt^{h+1}, d^{h+1} f/dt^h dz) in the reduced coordinates."""
-    if k_max + 1 > ls.model.d:
-        raise OrderExceedsSmoothness("k_max + 1 exceeds declared smoothness")
-    tjet = ls.f_jet(k_max + 1)
-    tname = tjet.vars[0]
-    dts = [float(tjet.extract({tname: m})) * math.factorial(m) for m in range(k_max + 2)]
-    mixed = ls.mixed_rows(k_max)
-    J = [dts[h + 1] for h in range(k_max + 1)]
-    I = []
-    for h in range(1, k_max + 1):
-        row = np.zeros(ls.n)
-        row[0] = dts[h + 1]
-        row[1:] = mixed[h - 1]
-        I.append(row)
-    return FunctionalsRecord(J=J, I=I, at=np.zeros(ls.n), pair_id="canonical-ls", k_max=k_max)
-
-
-@dataclass(frozen=True)
-class LSConditions:
-    k: int
-    transverse: bool
-    singularity: bool
-    maximal: bool
-    witnesses: list[np.ndarray]
-    J: list[float]
-    ranks: dict[int, int]
-
-
-def ls_conditions(ls: LSModel, k: int, tol) -> LSConditions:
-    """Pointwise transversality / ordinary / maximal-transverse conditions of
-    order k for the reduced scalar at the base point."""
-    rec = canonical_functionals(ls, k + 1)
-    J = rec.J
-    scale = max(1.0, max(abs(v) for v in J))
-    zero = [abs(v) <= tol.zero * scale for v in J]
-    rows = np.array(rec.I)
-    rk = linalg.rank_decision(rows[:k], tol.rank).rank if k else 0
-    rk1 = linalg.rank_decision(rows[: k + 1], tol.rank).rank
-    prefix_zero = all(zero[:k])
-    transverse = prefix_zero and rk == k
-    singularity = (
-        prefix_zero
-        and abs(J[k]) >= tol.nonzero * scale
-        and (k == 1 or linalg.rank_decision(rows[: k - 1], tol.rank).rank == k - 1)
-    )
-    maximal = transverse and zero[k] and rk1 == k
-    witnesses = linalg.dual_witnesses(rows[:k], tol.rank) if transverse and k else []
-    return LSConditions(
-        k=k,
-        transverse=transverse,
-        singularity=singularity,
-        maximal=maximal,
-        witnesses=witnesses,
-        J=J,
-        ranks={k: rk, k + 1: rk1},
     )

@@ -113,8 +113,7 @@ def conjugate(model: MapModel, pair: AffinePair) -> MapModel:
 
 def is_simple_singularity(model: MapModel, u, tol: float = linalg.DEFAULT_RANK_TOL):
     """Kernel dimension of F'(u) and the verdict regular/simple/non_simple."""
-    A = jets.jacobian(model, np.asarray(u, dtype=float))
-    kdim, _, _ = linalg.kernel_cokernel(A, tol)
+    kdim = linalg.linearize(model, u, tol).kdim
     if kdim == 0:
         verdict = "regular"
     elif kdim == 1:

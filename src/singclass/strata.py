@@ -48,12 +48,25 @@ def project_to_singular(model: MapModel, u_guess, pair: PairBase, max_iter: int 
 
 def stratum_membership(model: MapModel, u, h: int, pair: PairBase,
                        tol: Tolerances = Tolerances()):
-    """Member of the h-th stratum iff J_0 .. J_{h-1} all vanish at u."""
+    """Member of the h-th stratum iff J_0 .. J_{h-1} all vanish at u.
+
+    Returns ``(member, values)``; ``member`` is None (indeterminate) when no
+    value is clearly nonzero but some value lies in the tolerance band.
+    """
     pf = PointFunctionals(model, pair, u, tol.rank)
     vals = [pf.J(j) for j in range(h)]
     scale = max(1.0, max((abs(v) for v in vals), default=0.0))
-    member = all(abs(v) <= tol.zero * scale for v in vals)
+    states = {tol.zero_state(v, scale) for v in vals}
+    member = False if "nonzero" in states else None if "band" in states else True
     return member, vals
+
+
+def _null_basis(rows: np.ndarray) -> list[np.ndarray]:
+    """Orthonormal, sign-fixed basis of the common null space of full-rank rows."""
+    h, n = rows.shape
+    _, _, Vt = np.linalg.svd(rows)
+    basis = linalg._fix_signs(Vt[h:].T)
+    return [basis[:, j] for j in range(n - h)]
 
 
 def tangent_space(model: MapModel, u, h: int, pair: PairBase,
@@ -67,9 +80,7 @@ def tangent_space(model: MapModel, u, h: int, pair: PairBase,
     dec = linalg.rank_decision(rows, tol.rank)
     if dec.rank != h:
         raise NotIndependent(f"rows I_1..I_{h} have rank {dec.rank} < {h}")
-    _, _, Vt = np.linalg.svd(rows)
-    basis = linalg._fix_signs(Vt[h:].T)
-    return [basis[:, j] for j in range(n - h)]
+    return _null_basis(rows)
 
 
 @dataclass
@@ -94,23 +105,19 @@ def verify_stratification(model: MapModel, u0, k: int, pair: PairBase,
     rows = []
     for h in range(1, k + 1):
         rows.append(pf.row(h))
-        dec = linalg.rank_decision(np.array(rows), tol.rank)
+        stack = np.array(rows)
+        dec = linalg.rank_decision(stack, tol.rank)
         ranks[h] = dec.rank
         rank_ok[h] = dec.rank == h
         if rank_ok[h]:
-            basis = tangent_space(model, u0, h, pair, tol)
-            res = max(
-                float(np.max(np.abs(np.array(rows) @ b))) for b in basis
-            ) if basis else 0.0
-            tangent_res[h] = res
-    stack = np.array(rows)
+            basis = _null_basis(stack)
+            tangent_res[h] = max(float(np.max(np.abs(stack @ b))) for b in basis) if basis else 0.0
     phi = pf.phi0
     resid = np.linalg.norm(stack @ phi)
     row_scale = max(1.0, float(np.linalg.norm(stack)) * float(np.linalg.norm(phi)))
-    phi_in = resid <= 1e-6 * row_scale
-    jk = pf.J(k)
+    phi_in = tol.zero_state(resid, row_scale) == "zero"
     jscale = max(1.0, max(abs(pf.J(j)) for j in range(k + 1)))
-    jk_zero = abs(jk) <= tol.zero * jscale
+    jk_zero = tol.zero_state(pf.J(k), jscale) == "zero"
     # sampled nearby singular points must keep rank(I1) = 1
     rng = np.random.default_rng(seed)
     ok = True
@@ -158,14 +165,11 @@ def sample_stratum(model: MapModel, u0, pair: PairBase, count: int = 20,
         else:
             continue
         pf = PointFunctionals(model, pair, pt, tol.rank)
-        vals = [abs(pf.J(j)) for j in range(h_max)]
-        scale = max(1.0, max(vals))
+        vals = [pf.J(j) for j in range(h_max)]
+        scale = max(1.0, max(abs(v) for v in vals))
         h = 0
-        for v in vals:
-            if v <= tol.zero * scale:
-                h += 1
-            else:
-                break
+        while h < h_max and tol.zero_state(vals[h], scale) == "zero":
+            h += 1
         pts.append(pt)
         hs.append(h)
         res.append(abs(pf.J(0)))

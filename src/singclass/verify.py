@@ -71,8 +71,8 @@ def verify_problem(model: MapModel, u, trials: int = 50, seed: int = 0,
     rescale_failures = 0
     rescale_trials = 0
     law_err = None
-    if base.kdim == 1:
-        pair0 = make_fibering_pair(model, u, tol.rank)
+    pair0 = make_fibering_pair(model, u, tol.rank) if base.kdim == 1 else None
+    if pair0 is not None:
         for _ in range(trials):
             spec_a = _random_scale_spec(rng, u)
             spec_b = _random_scale_spec(rng, u)
@@ -93,8 +93,7 @@ def verify_problem(model: MapModel, u, trials: int = 50, seed: int = 0,
             conjugate_failures += 1
 
     strat = None
-    if base.kdim == 1 and base.transversality_order >= 1:
-        pair0 = make_fibering_pair(model, u, tol.rank)
+    if pair0 is not None and base.transversality_order >= 1:
         strat = strata.verify_stratification(
             model, u, base.transversality_order, pair0, seed=seed, tol=tol
         )

@@ -1,10 +1,17 @@
-"""Shared test utilities: independent finite-difference oracles and map builders."""
+"""Shared test utilities: independent oracles (finite differences, nested
+Lie derivatives, transformed pairs) and map builders."""
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from singclass.model import MapModel
+from singclass import jets
+from singclass.errors import DepthCapExceeded
+from singclass.fibering import PairBase, PointFunctionals
+from singclass.jets import Jet
+from singclass.model import AffinePair, MapModel, conjugate
 
 
 def fd_directional(model: MapModel, u, v, order: int, step: float = 1e-4) -> np.ndarray:
@@ -64,3 +71,86 @@ def reference_differentiation_matrix(N: int, scheme: str = "spectral") -> np.nda
 
 def gallery_points(model: MapModel, rng: np.random.Generator, count: int, radius: float = 0.5):
     return [radius * rng.standard_normal(model.n) for _ in range(count)]
+
+
+def lie_value(scalar_field: Callable, vector_field: Callable, x0, depth: int):
+    """Iterated Lie derivative of ``scalar_field`` along ``vector_field``.
+
+    ``x0`` may be a plain point or a jet point; the vector field is
+    re-evaluated at the jet-valued point of every layer, so it may depend on
+    position.  Returns the value in the residual context of ``x0``.
+    """
+    if depth > jets.NESTING_CAP:
+        raise DepthCapExceeded(f"nested depth {depth} exceeds cap {jets.NESTING_CAP}")
+    if depth == 0:
+        return scalar_field(x0)
+    names = [jets.fresh_name("lie") for _ in range(depth)]
+    if isinstance(x0, Jet):
+        variables = x0.vars + tuple(names)
+        orders = x0.orders + (1,) * depth
+        x = x0.extend(variables, orders)
+    else:
+        variables = tuple(names)
+        orders = (1,) * depth
+        x = jets.constant(np.asarray(x0, dtype=float), variables, orders)
+    for name in names:
+        x = x + jets.unit(variables, orders, name) * vector_field(x)
+    g = scalar_field(x)
+    return g.extract({name: 1 for name in names})
+
+
+def nested_lie_derivative(scalar_field: Callable, vector_field: Callable, u, depth: int) -> float:
+    """(L_xi)^depth g at the plain point ``u``."""
+    return float(lie_value(scalar_field, vector_field, np.asarray(u, dtype=float), depth))
+
+
+def lie_J(pf: PointFunctionals, k: int) -> float:
+    """J_k of ``pf`` recomputed as a depth-k nested Lie derivative of J_0
+    along the pair's kernel field (the cross-check of ``pf.J``)."""
+    return float(lie_value(pf.j0_at, pf._phi_field, pf.u, k))
+
+
+class TransformedPair(PairBase):
+    """Push-forward of a pair under an affine change of coordinates.
+
+    For gamma(u) = A u + a and delta(y) = B y + b the transformed fields are
+    phi~(x) = A phi(gamma^{-1} x) and psi~(x) = B^{-T} psi(gamma^{-1} x); the
+    scalar functionals of the transformed pair at gamma(u) then reproduce the
+    originals at u exactly.
+    """
+
+    def __init__(self, inner: PairBase, affine: AffinePair, inner_model: MapModel):
+        self.inner = inner
+        self.affine = affine
+        self.inner_model = inner_model
+        self._binv_t = np.linalg.inv(affine.delta_mat).T
+        self.base_point = np.asarray(affine.apply_gamma(inner.base_point), dtype=float)
+
+    @property
+    def pair_id(self) -> str:
+        return f"transformed<-{self.inner.pair_id}"
+
+    def prepare(self, pf):
+        u_in = self.affine.apply_gamma_inv(pf.u)
+        pf.inner_pf = PointFunctionals(self.inner_model, self.inner, u_in, pf.tol)
+
+    def phi(self, pf, x, Fp):
+        u_in = self.affine.apply_gamma_inv(x)
+        Fp_in = jets.jacobian(self.inner_model, u_in)
+        ph = self.inner.phi(pf.inner_pf, u_in, Fp_in)
+        return jets.matvec(self.affine.gamma_mat, ph)
+
+    def psi(self, pf, x, Fp):
+        u_in = self.affine.apply_gamma_inv(x)
+        Fp_in = jets.jacobian(self.inner_model, u_in)
+        ps = self.inner.psi(pf.inner_pf, u_in, Fp_in)
+        return jets.matvec(self._binv_t, ps)
+
+
+def pair_transform(pair: PairBase, affine: AffinePair, model: MapModel,
+                   transformed_model: MapModel | None = None) -> TransformedPair:
+    if transformed_model is None:
+        transformed_model = conjugate(model, affine)
+    if transformed_model.n != model.n:
+        raise ValueError("dimension mismatch between models")
+    return TransformedPair(pair, affine, model)

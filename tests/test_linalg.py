@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singclass import jets, linalg
-from singclass.errors import NotIndependent, SingularBorder
+from singclass.errors import SingularBorder
 from singclass.jets import Jet, constant, unit
 
 
@@ -42,36 +42,37 @@ class TestRankDecision:
 
 class TestKernelCokernel:
     def test_diag_with_one_zero(self):
-        kdim, ker, left = linalg.kernel_cokernel(np.diag([0.0, 1.0]), 1e-9)
-        assert kdim == 1
-        np.testing.assert_allclose(np.abs(ker[0]), [1.0, 0.0], atol=1e-14)
-        np.testing.assert_allclose(np.abs(left[0]), [1.0, 0.0], atol=1e-14)
+        lin = linalg.Linearization.of_matrix(np.diag([0.0, 1.0]), 1e-9)
+        assert lin.kdim == 1
+        np.testing.assert_allclose(np.abs(lin.kernel[:, 0]), [1.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(np.abs(lin.cokernel[:, 0]), [1.0, 0.0], atol=1e-14)
 
     def test_cubic_head_jacobian_at_origin(self):
         from singclass.gallery import gallery_map
 
         model = gallery_map("cusp_source_t3").model
-        A = jets.jacobian(model, np.zeros(2))
-        kdim, _, _ = linalg.kernel_cokernel(A)
-        assert kdim == 1
+        assert linalg.linearize(model, np.zeros(2)).kdim == 1
 
     def test_nonsingular_matrix(self):
         rng = np.random.default_rng(5)
         A = rng.standard_normal((4, 4)) + 4 * np.eye(4)
-        kdim, ker, left = linalg.kernel_cokernel(A)
-        assert kdim == 0 and ker == [] and left == []
+        lin = linalg.Linearization.of_matrix(A)
+        assert lin.kdim == 0 and lin.kernel.shape == lin.cokernel.shape == (4, 0)
 
     def test_residual_bounds(self):
         rng = np.random.default_rng(7)
         B = rng.standard_normal((5, 3))
         A = B @ rng.standard_normal((3, 5))  # rank 3
-        kdim, ker, left = linalg.kernel_cokernel(A, 1e-9)
-        assert kdim == 2
+        lin = linalg.Linearization.of_matrix(A, 1e-9)
+        assert lin.kdim == 2
         norm = np.linalg.norm(A, 2)
-        for v in ker:
+        for v in lin.kernel.T:
             assert np.linalg.norm(A @ v) <= 10 * 1e-9 * norm
-        for w in left:
+        for w in lin.cokernel.T:
             assert np.linalg.norm(w @ A) <= 10 * 1e-9 * norm
+        # the range basis spans the complement of the cokernel
+        np.testing.assert_allclose(lin.range_basis.T @ lin.cokernel, 0.0, atol=1e-12)
+        assert np.linalg.matrix_rank(np.hstack([lin.range_basis, A])) == 3
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -80,13 +81,13 @@ class TestKernelCokernel:
         n = int(rng.integers(2, 6))
         r = int(rng.integers(0, n + 1))
         A = rng.standard_normal((n, r)) @ rng.standard_normal((r, n))
-        kdim, ker, left = linalg.kernel_cokernel(A)
-        assert len(ker) == len(left) == kdim
+        lin = linalg.Linearization.of_matrix(A)
+        assert lin.kernel.shape[1] == lin.cokernel.shape[1] == lin.kdim
+        assert lin.range_basis.shape == (n, lin.rank)
 
     def test_sign_convention_deterministic(self):
-        A = np.diag([0.0, 1.0, 2.0])
-        _, ker, left = linalg.kernel_cokernel(A)
-        assert ker[0][0] > 0 and left[0][0] > 0
+        lin = linalg.Linearization.of_matrix(np.diag([0.0, 1.0, 2.0]))
+        assert lin.kernel[0, 0] > 0 and lin.cokernel[0, 0] > 0
 
 
 class TestBorderedSolve:
@@ -157,32 +158,3 @@ class TestBorderedSolve:
         xm, _ = linalg.bordered_solve(A0 - h * A1, b, c, (np.zeros(3), 1.0))
         fd1 = (xp - xm) / (2 * h)
         np.testing.assert_allclose(np.asarray(x.extract({name: 1})), fd1, rtol=1e-6, atol=1e-8)
-
-
-class TestDualWitnesses:
-    def test_identity_rows(self):
-        ws = linalg.dual_witnesses(np.eye(2))
-        np.testing.assert_allclose(ws[0], [1.0, 0.0], atol=1e-14)
-        np.testing.assert_allclose(ws[1], [0.0, 1.0], atol=1e-14)
-
-    def test_factorial_rows(self):
-        # rows h! * e_h (the unfolding-map pattern) invert to e_h / h!
-        rows = np.zeros((2, 4))
-        rows[0, 1] = 1.0
-        rows[1, 2] = 2.0
-        ws = linalg.dual_witnesses(rows)
-        np.testing.assert_allclose(ws[0], [0.0, 1.0, 0.0, 0.0], atol=1e-14)
-        np.testing.assert_allclose(ws[1], [0.0, 0.0, 0.5, 0.0], atol=1e-14)
-
-    def test_random_full_rank_residual(self):
-        rng = np.random.default_rng(19)
-        rows = rng.standard_normal((3, 5))
-        ws = linalg.dual_witnesses(rows)
-        for j, w in enumerate(ws):
-            e = np.zeros(3)
-            e[j] = 1.0
-            assert np.linalg.norm(rows @ w - e) <= 1e-9
-
-    def test_not_independent(self):
-        with pytest.raises(NotIndependent):
-            linalg.dual_witnesses(np.array([[1.0, 0.0], [2.0, 0.0]]))

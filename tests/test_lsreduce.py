@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from singclass.classify import Tolerances
+from singclass import jets
+from singclass.classify import classify_point
 from singclass.errors import NotSimple
 from singclass.gallery import gallery_map
-from singclass.lsreduce import canonical_functionals, local_representation, ls_conditions
-
-TOL = Tolerances()
+from singclass.lsreduce import local_representation
 
 
 def gradient_norm(ls):
@@ -28,8 +27,24 @@ class TestConstruction:
     def test_projectors_idempotent(self):
         model = gallery_map("whitney", {"k": 2, "dimZ": 1}).model
         ls = local_representation(model, np.zeros(3))
-        np.testing.assert_allclose(ls.p @ ls.p, ls.p, atol=1e-10)
-        np.testing.assert_allclose(ls.pi @ ls.pi, ls.pi, atol=1e-10)
+        c, w, Q = ls.kernel_vec, ls.left_null_vec, ls.range_basis
+        p, pi = np.outer(c, c), Q @ Q.T
+        np.testing.assert_allclose(p @ p, p, atol=1e-10)
+        np.testing.assert_allclose(pi @ pi, pi, atol=1e-10)
+        # Q spans the complement of the cokernel line w
+        np.testing.assert_allclose(pi, np.eye(3) - np.outer(w, w), atol=1e-12)
+
+    def test_condition_read_off_jacobian_singular_values(self):
+        for name, params, n in [
+            ("fold_t2", {}, 2),
+            ("whitney", {"k": 3, "dimZ": 1}, 4),
+            ("eps_perturbed", {"eps": 0.1}, 2),
+        ]:
+            model = gallery_map(name, params).model
+            ls = local_representation(model, np.zeros(n))
+            A = jets.jacobian(model, np.zeros(n))
+            alpha_prime = np.vstack([ls.kernel_vec[None, :], ls.range_basis.T @ A])
+            assert ls.cond_alpha == pytest.approx(np.linalg.cond(alpha_prime), rel=1e-12)
 
     def test_base_value_and_gradient_vanish(self):
         for name, params, n in [
@@ -67,8 +82,7 @@ class TestReducedScalar:
         fold = gallery_map("fold_t2").model
         ls = local_representation(fold, np.zeros(2))
         assert abs(ls.f_partial_t(2)) == pytest.approx(2.0, rel=1e-9)
-        mixed = ls.mixed_rows(1)
-        np.testing.assert_allclose(mixed, 0.0, atol=1e-10)
+        np.testing.assert_allclose(ls.row(1)[1:], 0.0, atol=1e-10)
 
     def test_whitney3_derivative_pattern(self):
         model = gallery_map("whitney", {"k": 3, "dimZ": 0}).model
@@ -114,9 +128,8 @@ class TestCanonicalFunctionals:
     def test_fold_canonical_values(self):
         fold = gallery_map("fold_t2").model
         ls = local_representation(fold, np.zeros(2))
-        rec = canonical_functionals(ls, 1)
-        assert rec.J[0] == pytest.approx(0.0, abs=1e-10)
-        assert abs(rec.J[1]) == pytest.approx(2.0, rel=1e-9)
+        assert ls.J(0) == pytest.approx(0.0, abs=1e-10)
+        assert abs(ls.J(1)) == pytest.approx(2.0, rel=1e-9)
 
     def test_unfolding_rows_are_scaled_basis_vectors(self):
         import math
@@ -124,44 +137,38 @@ class TestCanonicalFunctionals:
         # head t^5 + z1 t + z2 t^2: mixed block rows are eta! * e_eta
         model = gallery_map("family_kn", {"k": 2, "n": 5, "dimZ": 0}).model
         ls = local_representation(model, np.zeros(3))
-        rec = canonical_functionals(ls, 3)
-        assert max(abs(v) for v in rec.J) < 1e-9
+        assert max(abs(ls.J(k)) for k in range(4)) < 1e-9
         for eta in (1, 2):
             target = np.zeros(3)
             target[eta] = math.factorial(eta)
-            np.testing.assert_allclose(np.abs(rec.I[eta - 1]), target, atol=1e-9)
+            np.testing.assert_allclose(np.abs(ls.row(eta)), target, atol=1e-9)
 
     def test_simple_unfolding_first_row(self):
         model = gallery_map("transverse_k", {"k": 1}).model
         ls = local_representation(model, np.zeros(2))
-        rec = canonical_functionals(ls, 1)
-        np.testing.assert_allclose(np.abs(rec.I[0]), [0.0, 1.0], atol=1e-10)
+        np.testing.assert_allclose(np.abs(ls.row(1)), [0.0, 1.0], atol=1e-10)
 
 
 class TestConditions:
+    """Order-k conditions of the reduced scalar, decided on the ls route alone."""
+
     def test_maximal_two_transverse(self):
         model = gallery_map("family_kn", {"k": 2, "n": 0, "dimZ": 0}).model
-        ls = local_representation(model, np.zeros(3))
-        rec = ls_conditions(ls, 2, TOL)
-        assert rec.transverse and rec.maximal and not rec.singularity
-        assert len(rec.witnesses) == 2
-        rows = np.array(canonical_functionals(ls, 2).I)
-        for j, w in enumerate(rec.witnesses):
-            e = np.zeros(2)
-            e[j] = 1.0
-            np.testing.assert_allclose(rows @ w, e, atol=1e-9)
+        c = classify_point(model, np.zeros(3), route="ls")
+        assert (c.kind, c.k, c.transversality_order) == ("MaximalKTransverse", 2, 2)
+        ev = c.evidence.routes[0]
+        assert ev.singular_values[2][-1] > 0.5  # I_1, I_2 independent
+        assert ev.singular_values[3][-1] < 1e-9  # I_3 dependent
 
     def test_fold_is_order_one_singularity(self):
         model = gallery_map("family_kn", {"k": 0, "n": 2, "dimZ": 1}).model
-        ls = local_representation(model, np.zeros(2))
-        rec = ls_conditions(ls, 1, TOL)
-        assert rec.singularity
+        c = classify_point(model, np.zeros(2), route="ls")
+        assert (c.kind, c.k) == ("KSingularity", 1)
 
     def test_cubic_head_fails_transversality(self):
         model = gallery_map("family_kn", {"k": 0, "n": 3, "dimZ": 1}).model
-        ls = local_representation(model, np.zeros(2))
-        rec = ls_conditions(ls, 1, TOL)
-        assert not rec.transverse and not rec.singularity and not rec.maximal
+        c = classify_point(model, np.zeros(2), route="ls")
+        assert c.kind == "NotOneTransverse" and c.transversality_order == 0
 
 
 class TestRouteAgreement:

@@ -77,6 +77,14 @@ class TestMembership:
         members = [stratum_membership(model, np.zeros(4), h, pair)[0] for h in (1, 2, 3)]
         assert members == [True, True, True]
 
+    def test_band_value_gives_indeterminate_membership(self):
+        model = gallery_map("eps_perturbed", {"eps": 1e-4}).model
+        pair = make_fibering_pair(model, np.zeros(2))
+        member, vals = stratum_membership(model, np.zeros(2), 2, pair)
+        assert member is None
+        assert TOL.zero < abs(vals[1]) < TOL.nonzero
+        assert stratum_membership(model, np.zeros(2), 1, pair)[0] is True
+
     def test_membership_pair_independent(self):
         model = gallery_map("whitney", {"k": 2, "dimZ": 0}).model
         base = make_fibering_pair(model, np.zeros(2))
