@@ -168,9 +168,11 @@ class QuarticOracle:
 def quartic_analytic_oracle(a_terms, p_terms, quadN: int = 256) -> QuarticOracle:
     """Quadrature rows of the closed-form functionals of the quartic problem
     at u = 0: I1 v = int 2 a v, I2 v = -int (int_0^t 2a) 2a v (valid modulo
-    the I1 direction), and J3 = int 24 p."""
-    if quadN < 64:
-        raise ParamOutOfRange("quadrature grid must have at least 64 points")
+    the I1 direction), and J3 = int 24 p.  The quadN-point rule is exact for
+    trigonometric integrands of frequency below quadN, which covers these
+    whenever the coefficient frequencies are below the bandlimit quadN / 2."""
+    if quadN < 16:
+        raise ParamOutOfRange("quadrature grid must have at least 16 points")
     if abs(trig_mean(a_terms)) > 1e-12:
         raise ParamOutOfRange("a(t) must have zero mean")
     t = np.arange(quadN) / quadN

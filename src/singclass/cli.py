@@ -2,8 +2,11 @@
 
 Subcommands: classify, gallery, verify, bvp, strata.  Problems come from a
 config document (--config) or from flags; flags override config values.
-Reports are deterministic for a fixed seed; the wall time of a run is
-printed to stderr only, so report files are byte-stable.
+``CONFIG_KEYS`` lists every config key with its ``AnalysisConfig``
+attribute, its flag (if any), the converter the file and flag paths share,
+and when reports echo it; a report's ``config.*`` lines, read back as a
+config, reproduce it.  Reports are deterministic for a fixed seed; wall
+time goes to stderr only, so report files are byte-stable.
 
 Exit codes: 0 decisive result, 1 error, 2 indeterminate.
 """
@@ -11,10 +14,13 @@ Exit codes: 0 decisive result, 1 error, 2 indeterminate.
 from __future__ import annotations
 
 import argparse
+import ast
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,7 +31,7 @@ from .classify import INDETERMINATE, Classification, Tolerances, classify_point
 from .errors import ConfigParseError, SingclassError
 from .fibering import make_fibering_pair
 from .gallery import gallery_map, list_gallery
-from .model import MapModel, conjugate, random_affine_pair
+from .model import MapModel, conjugate, is_simple_singularity, random_affine_pair
 from .verify import verify_problem
 
 EXIT_OK = 0
@@ -58,142 +64,145 @@ class AnalysisConfig:
     stratum_h: int = 1
     samples: int = 20
 
-    def echo_entries(self) -> list[tuple[str, object]]:
-        entries = [
-            ("config.problem.kind", self.problem_kind),
-        ]
-        if self.problem_kind == "gallery":
-            entries += [
-                ("config.problem.name", self.name),
-                ("config.problem.params", self.params),
-            ]
+
+# -- converters: a config-file or flag value -> the attribute value ------------
+
+
+def _expect(ok: Callable, what: str, make: Callable = lambda v: v) -> Callable:
+    """A converter that checks a value with ``ok``, then builds it with ``make``."""
+    def convert(value):
+        if not ok(value):
+            raise ConfigParseError(f"expected {what}, got {value!r}")
+        return make(value)
+    return convert
+
+
+def _optional(convert: Callable) -> Callable:
+    return lambda v: None if v is None else convert(v)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_reals(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(map(_is_real, v))
+
+
+_INT = _expect(lambda v: _is_real(v) and float(v).is_integer(), "an integer", int)
+_REAL = _expect(_is_real, "a number")
+_STR = _expect(lambda v: isinstance(v, str), "a string")
+_PARAMS = _expect(lambda v: isinstance(v, dict) and all(map(_is_real, v.values())),
+                  "a dict of numbers")
+_REALS = _expect(_is_reals, "a list of numbers", tuple)
+_FLOATS = _expect(_is_reals, "a list of numbers", lambda v: [float(x) for x in v])
+_TERMS = _expect(  # trigonometric terms
+    lambda v: isinstance(v, (list, tuple)) and all(_is_reals(t) and len(t) == 3 for t in v),
+    "a list of (frequency, cos_amp, sin_amp) triples", lambda v: tuple(map(tuple, v)))
+
+
+class ConfigKey(NamedTuple):
+    key: str                  # dotted config-file key
+    attr: str                 # AnalysisConfig attribute; "tol.x" is a Tolerances field
+    convert: Callable         # shared by the file and the flag path
+    echo: str                 # always | gallery | bvp (problem kind) | set (not None) | never
+    flag: str | None = None   # argparse dest of the flag that also sets it
+
+
+CONFIG_KEYS = (
+    ConfigKey("problem.kind", "problem_kind", _STR, "always"),
+    ConfigKey("problem.name", "name", _optional(_STR), "gallery", "gallery"),
+    ConfigKey("problem.params", "params", _PARAMS, "gallery", "param"),
+    ConfigKey("bvp.N", "bvp_n", _INT, "bvp", "bvp_n"),
+    ConfigKey("bvp.scheme", "bvp_scheme", _STR, "bvp", "bvp_scheme"),
+    ConfigKey("bvp.a", "bvp_a", _TERMS, "bvp", "bvp_a"),
+    ConfigKey("bvp.p", "bvp_p", _TERMS, "bvp", "bvp_p"),
+    ConfigKey("bvp.g", "bvp_g", _STR, "bvp"),
+    ConfigKey("bvp.g_coeffs", "bvp_g_coeffs", _REALS, "bvp"),
+    ConfigKey("bvp.g_beta", "bvp_g_beta", _REAL, "bvp"),
+    ConfigKey("problem.conjugate_seed", "conjugate_seed", _optional(_INT), "set"),
+    ConfigKey("point", "point", _optional(_FLOATS), "always", "point"),
+    ConfigKey("k_cap", "k_cap", _INT, "always", "k_cap"),
+    ConfigKey("route", "route", _STR, "always", "route"),
+    ConfigKey("seed", "seed", _INT, "always", "seed"),
+    ConfigKey("tol.rank", "tol.rank", _REAL, "always", "tol_rank"),
+    ConfigKey("tol.zero", "tol.zero", _REAL, "always", "tol_zero"),
+    ConfigKey("tol.nonzero", "tol.nonzero", _REAL, "always", "tol_nonzero"),
+    ConfigKey("out", "out", _optional(_STR), "never", "out"),
+    ConfigKey("trials", "trials", _INT, "never", "trials"),
+)
+_BY_KEY = {row.key: row for row in CONFIG_KEYS}
+_KIND_FLAGS = {"gallery": "gallery", "bvp_a": "bvp", "bvp_n": "bvp"}  # flags that pick the kind
+_FLAG_ONLY = ("machine", "project", "stratum_h", "samples")            # settings with no key
+
+
+def _assign(cfg: AnalysisConfig, values: dict[ConfigKey, object]) -> AnalysisConfig:
+    """``cfg`` with the values converted and set, the tol.* ones in one step."""
+    plain, tol = {}, {}
+    for row, value in values.items():
+        try:
+            value = row.convert(value)
+        except ConfigParseError as exc:
+            raise ConfigParseError(f"{row.key}: {exc}") from None
+        if row.attr.startswith("tol."):
+            tol[row.attr[4:]] = value
         else:
-            entries += [
-                ("config.bvp.N", self.bvp_n),
-                ("config.bvp.scheme", self.bvp_scheme),
-                ("config.bvp.a", [list(t) for t in self.bvp_a]),
-                ("config.bvp.p", [list(t) for t in self.bvp_p]),
-                ("config.bvp.g", self.bvp_g),
-                ("config.bvp.g_coeffs", list(self.bvp_g_coeffs)),
-                ("config.bvp.g_beta", self.bvp_g_beta),
-            ]
-        if self.conjugate_seed is not None:
-            entries.append(("config.problem.conjugate_seed", self.conjugate_seed))
-        entries += [
-            ("config.point", [float(x) for x in self.point] if self.point is not None else None),
-            ("config.k_cap", self.k_cap),
-            ("config.route", self.route),
-            ("config.seed", self.seed),
-            ("config.tol.rank", self.tol.rank),
-            ("config.tol.zero", self.tol.zero),
-            ("config.tol.nonzero", self.tol.nonzero),
-        ]
-        return entries
+            plain[row.attr] = value
+    return replace(cfg, **plain, tol=replace(cfg.tol, **tol))
 
 
 def _config_from_file(path: str) -> AnalysisConfig:
     data = reportmod.parse(Path(path).read_text())
-    cfg = AnalysisConfig()
-    if data.get("schema_version", reportmod.SCHEMA_VERSION) != reportmod.SCHEMA_VERSION:
+    if data.pop("schema_version", reportmod.SCHEMA_VERSION) != reportmod.SCHEMA_VERSION:
         raise ConfigParseError("unsupported schema_version")
-    simple = {
-        "problem.kind": "problem_kind",
-        "problem.name": "name",
-        "problem.params": "params",
-        "problem.conjugate_seed": "conjugate_seed",
-        "point": "point",
-        "k_cap": "k_cap",
-        "route": "route",
-        "seed": "seed",
-        "out": "out",
-        "trials": "trials",
-        "bvp.N": "bvp_n",
-        "bvp.scheme": "bvp_scheme",
-        "bvp.g": "bvp_g",
-        "bvp.g_beta": "bvp_g_beta",
-    }
-    tol = {}
-    for key, value in data.items():
-        if key == "schema_version":
-            continue
-        if key in simple:
-            setattr(cfg, simple[key], value)
-        elif key == "bvp.a":
-            cfg.bvp_a = tuple(tuple(t) for t in value)
-        elif key == "bvp.p":
-            cfg.bvp_p = tuple(tuple(t) for t in value)
-        elif key == "bvp.g_coeffs":
-            cfg.bvp_g_coeffs = tuple(value)
-        elif key == "tol.rank":
-            tol["rank"] = value
-        elif key == "tol.zero":
-            tol["zero"] = value
-        elif key == "tol.nonzero":
-            tol["nonzero"] = value
-        else:
+    for key in data:
+        if key not in _BY_KEY:
             raise ConfigParseError(f"unknown config key {key!r}")
-    if tol:
-        cfg.tol = replace(cfg.tol, **tol)
-    return cfg
+    return _assign(AnalysisConfig(), {_BY_KEY[key]: value for key, value in data.items()})
 
 
 def _apply_flags(cfg: AnalysisConfig, args: argparse.Namespace) -> AnalysisConfig:
-    if getattr(args, "gallery", None):
-        cfg.problem_kind = "gallery"
-        cfg.name = args.gallery
-    for spec in getattr(args, "param", None) or []:
-        key, _, value = spec.partition("=")
-        if not value:
-            raise ConfigParseError(f"bad --param {spec!r}, expected key=value")
-        try:
-            cfg.params[key] = int(value)
-        except ValueError:
-            cfg.params[key] = float(value)
-    if getattr(args, "bvp_a", None):
-        cfg.problem_kind = "bvp"
-        cfg.bvp_a = tuple(tuple(t) for t in _parse_terms(args.bvp_a))
-    if getattr(args, "bvp_p", None):
-        cfg.bvp_p = tuple(tuple(t) for t in _parse_terms(args.bvp_p))
-    if getattr(args, "bvp_n", None):
-        cfg.problem_kind = "bvp"
-        cfg.bvp_n = args.bvp_n
-    if getattr(args, "bvp_scheme", None):
-        cfg.bvp_scheme = args.bvp_scheme
-    if args.point is not None:
-        cfg.point = [float(x) for x in args.point.split(",")]
-    if args.k_cap is not None:
-        cfg.k_cap = args.k_cap
-    if args.route is not None:
-        cfg.route = args.route
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out = args.out
-    tol = {}
-    if args.tol_rank is not None:
-        tol["rank"] = args.tol_rank
-    if args.tol_zero is not None:
-        tol["zero"] = args.tol_zero
-    if args.tol_nonzero is not None:
-        tol["nonzero"] = args.tol_nonzero
-    if tol:
-        cfg.tol = replace(cfg.tol, **tol)
-    cfg.machine = bool(getattr(args, "machine", False))
-    cfg.project = bool(getattr(args, "project", False))
-    if getattr(args, "trials", None) is not None:
-        cfg.trials = args.trials
-    if getattr(args, "stratum_h", None) is not None:
-        cfg.stratum_h = args.stratum_h
-    if getattr(args, "samples", None) is not None:
-        cfg.samples = args.samples
-    return cfg
+    values = {}
+    for row in CONFIG_KEYS:
+        value = getattr(args, row.flag, None) if row.flag else None
+        if value is None:
+            continue
+        if row.flag == "param":  # --param adds to the configured parameters
+            value = {**cfg.params, **dict(value)}
+        values[row] = value
+        if row.flag in _KIND_FLAGS:
+            values[_BY_KEY["problem.kind"]] = _KIND_FLAGS[row.flag]
+    flag_only = {a: getattr(args, a) for a in _FLAG_ONLY if getattr(args, a, None) is not None}
+    return replace(_assign(cfg, values), **flag_only)
 
 
-def _parse_terms(text: str):
-    import ast
+def _echo(cfg: AnalysisConfig) -> list[tuple[str, object]]:
+    """The ``config.*`` lines of a report (the problem kind is gallery or bvp)."""
+    values = [(row, attrgetter(row.attr)(cfg)) for row in CONFIG_KEYS]
+    return [(f"config.{row.key}", value) for row, value in values
+            if row.echo in ("always", cfg.problem_kind) or (row.echo == "set" and value is not None)]
 
-    value = ast.literal_eval(text)
-    return [tuple(t) for t in value]
+
+# -- flag value parsers (argparse types) ------------------------------------------
+
+
+def _literal(text: str):
+    try:
+        return ast.literal_eval(text)
+    except SyntaxError as exc:
+        raise ValueError(str(exc)) from None
+
+
+def _csv(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
+
+
+def _param(spec: str) -> tuple[str, int | float]:
+    key, _, value = spec.partition("=")
+    try:
+        return key, int(value)
+    except ValueError:
+        return key, float(value)
 
 
 def build_problem(cfg: AnalysisConfig) -> tuple[MapModel, np.ndarray]:
@@ -201,26 +210,16 @@ def build_problem(cfg: AnalysisConfig) -> tuple[MapModel, np.ndarray]:
         if not cfg.name:
             raise ConfigParseError("no gallery name given")
         entry = gallery_map(cfg.name, cfg.params)
-        model = entry.model
-        point = np.asarray(
-            cfg.point if cfg.point is not None else entry.expected[0].points[0], dtype=float
-        )
+        model, default = entry.model, entry.expected[0].points[0]
     elif cfg.problem_kind == "bvp":
-        problem = bvpmod.PeriodicProblem(
-            N=cfg.bvp_n,
-            a_terms=tuple(tuple(t) for t in cfg.bvp_a),
-            p_terms=tuple(tuple(t) for t in cfg.bvp_p),
-            g_kind=cfg.bvp_g,
-            g_coeffs=tuple(cfg.bvp_g_coeffs),
-            g_beta=cfg.bvp_g_beta,
-            scheme=cfg.bvp_scheme,
-        )
-        model = bvpmod.make_periodic_bvp(problem)
-        point = np.asarray(
-            cfg.point if cfg.point is not None else np.zeros(cfg.bvp_n), dtype=float
-        )
+        model = bvpmod.make_periodic_bvp(bvpmod.PeriodicProblem(
+            N=cfg.bvp_n, a_terms=cfg.bvp_a, p_terms=cfg.bvp_p, g_kind=cfg.bvp_g,
+            g_coeffs=cfg.bvp_g_coeffs, g_beta=cfg.bvp_g_beta, scheme=cfg.bvp_scheme,
+        ))
+        default = np.zeros(cfg.bvp_n)
     else:
         raise ConfigParseError(f"unknown problem kind {cfg.problem_kind!r}")
+    point = np.asarray(default if cfg.point is None else cfg.point, dtype=float)
     if point.shape != (model.n,):
         raise ConfigParseError(f"point has dimension {point.shape}, model needs {model.n}")
     if cfg.conjugate_seed is not None:
@@ -231,8 +230,12 @@ def build_problem(cfg: AnalysisConfig) -> tuple[MapModel, np.ndarray]:
     return model, point
 
 
-def _emit(cfg: AnalysisConfig, entries: list[tuple[str, object]]) -> None:
-    text = reportmod.render(entries)
+def _emit(cfg: AnalysisConfig, report: str, model: MapModel,
+          entries: list[tuple[str, object]]) -> None:
+    """Write one report: the common header and config echo, then ``entries``."""
+    head = [("schema_version", reportmod.SCHEMA_VERSION), ("report", report),
+            ("problem.label", model.label)]
+    text = reportmod.render(head + _echo(cfg) + entries)
     if cfg.out:
         Path(cfg.out).write_text(text)
     else:
@@ -252,73 +255,50 @@ def _classification_entries(c: Classification) -> list[tuple[str, object]]:
     ]
     for ev in c.evidence.routes:
         p = f"route.{ev.route}"
-        e.append((f"{p}.pair", ev.pair_id))
-        e.append((f"{p}.kind", ev.kind))
-        e.append((f"{p}.k", ev.k))
-        e.append((f"{p}.transversality_order", ev.transversality_order))
-        e.append((f"{p}.stage", ev.stage))
-        e.append((f"{p}.J", ev.J_values))
-        for size in sorted(ev.singular_values):
-            e.append((f"{p}.sv.{size}", ev.singular_values[size]))
+        e += [(f"{p}.pair", ev.pair_id), (f"{p}.kind", ev.kind), (f"{p}.k", ev.k),
+              (f"{p}.transversality_order", ev.transversality_order),
+              (f"{p}.stage", ev.stage), (f"{p}.J", ev.J_values)]
+        e += [(f"{p}.sv.{size}", ev.singular_values[size]) for size in sorted(ev.singular_values)]
     return e
 
 
 def cmd_classify(cfg: AnalysisConfig) -> int:
     model, point = build_problem(cfg)
-    projected = False
     if cfg.project:
         pair = make_fibering_pair(model, _nearest_singular_seed(model, point, cfg))
         point = stratamod.project_to_singular(model, point, pair, tol=cfg.tol)
-        projected = True
     c = classify_point(model, point, k_cap=cfg.k_cap, tol=cfg.tol, route=cfg.route)
-    c.evidence.projected = projected
-    entries = [
-        ("schema_version", reportmod.SCHEMA_VERSION),
-        ("report", "classify"),
-        ("problem.label", model.label),
-    ]
-    entries += cfg.echo_entries()
-    entries += [("point", [float(x) for x in point])]
-    entries += _classification_entries(c)
-    _emit(cfg, entries)
+    c.evidence.projected = cfg.project
+    _emit(cfg, "classify", model,
+          [("point", [float(x) for x in point])] + _classification_entries(c))
     return EXIT_INDETERMINATE if c.kind == INDETERMINATE else EXIT_OK
 
 
 def _nearest_singular_seed(model: MapModel, point: np.ndarray, cfg: AnalysisConfig):
     """Anchor for the projection pair: the point itself if already simple,
     otherwise a short deterministic search along coordinate directions."""
-    from .model import is_simple_singularity
-
-    kdim, verdict = is_simple_singularity(model, point, cfg.tol.rank)
-    if verdict == "simple":
-        return point
-    for scale in (0.0, 0.1, -0.1, 0.3, -0.3):
-        for i in range(model.n):
-            cand = point.copy()
-            cand[i] += scale
-            kdim, verdict = is_simple_singularity(model, cand, cfg.tol.rank)
-            if verdict == "simple":
-                return cand
+    moves = [np.zeros(model.n)] + [s * e for s in (0.1, -0.1, 0.3, -0.3) for e in np.eye(model.n)]
+    for move in moves:
+        if is_simple_singularity(model, point + move, cfg.tol.rank)[1] == "simple":
+            return point + move
     return point
 
 
 def cmd_gallery(cfg: AnalysisConfig, kind_filter: str | None) -> int:
-    entries = list_gallery(kind_filter)
-    if cfg.machine:
-        for e in entries:
-            for exp in e.expected:
-                params = ",".join(f"{k}={v}" for k, v in sorted(e.params.items()))
+    for e in list_gallery(kind_filter):
+        params = ",".join(f"{k}={v}" for k, v in sorted(e.params.items()))
+        if not cfg.machine:
+            sys.stdout.write(f"{e.name}  params={e.params}\n")
+        for exp in e.expected:
+            if cfg.machine:
                 sys.stdout.write(
                     f"name={e.name} params={params or '-'} expected={exp.kind}"
                     f"{'' if exp.k is None else '(%d)' % exp.k} points={len(exp.points)}\n"
                 )
-        return EXIT_OK
-    for e in entries:
-        sys.stdout.write(f"{e.name}  params={e.params}\n")
-        for exp in e.expected:
-            k = "" if exp.k is None else f"(k={exp.k})"
-            sys.stdout.write(f"    {exp.description}: {exp.kind}{k}\n")
-            sys.stdout.write(f"      note: {exp.source}\n")
+            else:
+                k = "" if exp.k is None else f"(k={exp.k})"
+                sys.stdout.write(f"    {exp.description}: {exp.kind}{k}\n")
+                sys.stdout.write(f"      note: {exp.source}\n")
     return EXIT_OK
 
 
@@ -327,12 +307,6 @@ def cmd_verify(cfg: AnalysisConfig) -> int:
     rec = verify_problem(model, point, trials=cfg.trials, seed=cfg.seed,
                          k_cap=cfg.k_cap, tol=cfg.tol)
     entries = [
-        ("schema_version", reportmod.SCHEMA_VERSION),
-        ("report", "verify"),
-        ("problem.label", model.label),
-    ]
-    entries += cfg.echo_entries()
-    entries += [
         ("base.kind", rec.base.kind),
         ("base.k", rec.base.k),
         ("rescale.trials", rec.rescale_trials),
@@ -353,7 +327,7 @@ def cmd_verify(cfg: AnalysisConfig) -> int:
             ("stratification.sampled_rank1_ok", s.sampled_rank1_ok),
         ]
     entries.append(("passed", rec.passed))
-    _emit(cfg, entries)
+    _emit(cfg, "verify", model, entries)
     return EXIT_OK if rec.passed else EXIT_ERROR
 
 
@@ -362,21 +336,14 @@ def cmd_bvp(cfg: AnalysisConfig) -> int:
         raise ConfigParseError("bvp analysis needs coefficient terms (bvp.a)")
     model, point = build_problem(cfg)
     c = classify_point(model, point, k_cap=cfg.k_cap, tol=cfg.tol, route=cfg.route)
-    entries = [
-        ("schema_version", reportmod.SCHEMA_VERSION),
-        ("report", "bvp"),
-        ("problem.label", model.label),
-    ]
-    entries += cfg.echo_entries()
-    entries += _classification_entries(c)
+    entries = _classification_entries(c)
     if cfg.bvp_g == "quartic" and not np.any(point):
         check = bvpmod.quartic_cross_check(cfg.bvp_a, cfg.bvp_p, N=cfg.bvp_n,
-                                      scheme=cfg.bvp_scheme, tol=cfg.tol.rank)
-        for key in ("I1_cosine", "I1_scalar", "I2_cosine", "I2_scalar",
-                    "J3_numeric", "J3_oracle", "sigma3_over_sigma1"):
-            entries.append((f"oracle.{key}", check[key]))
-        entries.append(("oracle.stack_singular_values", check["stack_singular_values"]))
-    _emit(cfg, entries)
+                                           scheme=cfg.bvp_scheme, tol=cfg.tol.rank)
+        entries += [(f"oracle.{key}", check[key]) for key in (
+            "I1_cosine", "I1_scalar", "I2_cosine", "I2_scalar", "J3_numeric", "J3_oracle",
+            "sigma3_over_sigma1", "stack_singular_values")]
+    _emit(cfg, "bvp", model, entries)
     return EXIT_INDETERMINATE if c.kind == INDETERMINATE else EXIT_OK
 
 
@@ -388,13 +355,7 @@ def cmd_strata(cfg: AnalysisConfig) -> int:
     member, vals = stratamod.stratum_membership(model, projected, cfg.stratum_h, pair, cfg.tol)
     sample = stratamod.sample_stratum(model, projected, pair, count=cfg.samples,
                                       seed=cfg.seed, tol=cfg.tol)
-    entries = [
-        ("schema_version", reportmod.SCHEMA_VERSION),
-        ("report", "strata"),
-        ("problem.label", model.label),
-    ]
-    entries += cfg.echo_entries()
-    entries += [
+    _emit(cfg, "strata", model, [
         ("projected.point", [float(x) for x in projected]),
         ("membership.h", cfg.stratum_h),
         ("membership.member", member),
@@ -404,20 +365,19 @@ def cmd_strata(cfg: AnalysisConfig) -> int:
         ("sample.h_membership", sample.h_membership),
         ("sample.residuals", sample.residuals),
         ("sample.points", [[float(x) for x in p] for p in sample.points]),
-    ]
-    _emit(cfg, entries)
+    ])
     return EXIT_INDETERMINATE if member is None else EXIT_OK
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="analysis config document")
     p.add_argument("--gallery", help="gallery map name")
-    p.add_argument("--param", action="append", help="gallery parameter key=value")
+    p.add_argument("--param", action="append", type=_param, help="gallery parameter key=value")
     p.add_argument("--bvp-n", type=int, help="periodic problem grid size")
-    p.add_argument("--bvp-a", help="a(t) terms, e.g. '[(1, 0.0, 1.0)]'")
-    p.add_argument("--bvp-p", help="p(t) terms")
+    p.add_argument("--bvp-a", type=_literal, help="a(t) terms, e.g. '[(1, 0.0, 1.0)]'")
+    p.add_argument("--bvp-p", type=_literal, help="p(t) terms")
     p.add_argument("--bvp-scheme", choices=["spectral", "periodic_finite_difference"])
-    p.add_argument("--point", help="comma-separated coordinates")
+    p.add_argument("--point", type=_csv, help="comma-separated coordinates")
     p.add_argument("--k-cap", dest="k_cap", type=int)
     p.add_argument("--tol-rank", dest="tol_rank", type=float)
     p.add_argument("--tol-zero", dest="tol_zero", type=float)
@@ -459,29 +419,17 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = make_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; 2 means indeterminate here
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
+    commands = {"classify": cmd_classify, "gallery": lambda cfg: cmd_gallery(cfg, args.kind),
+                "verify": cmd_verify, "bvp": cmd_bvp, "strata": cmd_strata}
     started = time.perf_counter()
     try:
-        cfg = _config_from_file(args.config) if getattr(args, "config", None) else AnalysisConfig()
-        cfg = _apply_flags(cfg, args)
-        if args.command == "classify":
-            code = cmd_classify(cfg)
-        elif args.command == "gallery":
-            code = cmd_gallery(cfg, getattr(args, "kind", None))
-        elif args.command == "verify":
-            code = cmd_verify(cfg)
-        elif args.command == "bvp":
-            code = cmd_bvp(cfg)
-        elif args.command == "strata":
-            code = cmd_strata(cfg)
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command}")
-            return EXIT_ERROR
+        cfg = _config_from_file(args.config) if args.config else AnalysisConfig()
+        code = commands[args.command](_apply_flags(cfg, args))
     except (SingclassError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -80,9 +80,6 @@ class Jet:
         """Constant (degree-zero) coefficient, shaped like the value."""
         return self.coeffs[(Ellipsis, *(0,) * self.njet)]
 
-    def ctx(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
-        return self.vars, self.orders
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Jet(vars={self.vars}, orders={self.orders}, value_shape={self.value_shape})"
 
@@ -272,15 +269,6 @@ class Jet:
             return arr if arr.shape else float(arr)
         return Jet(keep_vars, keep_orders, arr)
 
-    def truncate(self, new_orders: Sequence[int]) -> "Jet":
-        new_orders = tuple(int(o) for o in new_orders)
-        if len(new_orders) != self.njet or any(
-            n > o for n, o in zip(new_orders, self.orders)
-        ):
-            raise ValueError("truncation orders must be <= current orders")
-        sl = (Ellipsis, *(slice(0, n + 1) for n in new_orders))
-        return Jet(self.vars, new_orders, self.coeffs[sl].copy())
-
     def extend(self, variables: Sequence[str], orders: Sequence[int]) -> "Jet":
         """Embed into a larger context (the new one must contain the old)."""
         variables = tuple(variables)
@@ -321,14 +309,6 @@ def constant(value, variables: Sequence[str] = (), orders: Sequence[int] = ()) -
     out = np.zeros(arr.shape + tuple(o + 1 for o in orders))
     out[(Ellipsis, *(0,) * len(orders))] = arr
     return Jet(variables, orders, out)
-
-
-def variable(name: str, order: int = 1) -> Jet:
-    """The scalar jet of the variable itself (in its own one-variable context)."""
-    c = np.zeros(order + 1)
-    if order >= 1:
-        c[1] = 1.0
-    return Jet((name,), (order,), c)
 
 
 def unit(variables: Sequence[str], orders: Sequence[int], name: str) -> Jet:

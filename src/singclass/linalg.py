@@ -20,7 +20,6 @@ DEFAULT_RANK_TOL = 1e-8
 class RankDecision:
     rank: int
     singular_values: tuple[float, ...]
-    tol_used: float
 
 
 def _numerical_rank(sv: np.ndarray, tol: float) -> int:
@@ -34,7 +33,7 @@ def rank_decision(rows: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> RankDecisi
     """Numerical rank of a stack of rows."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     sv = np.linalg.svd(rows, compute_uv=False)
-    return RankDecision(_numerical_rank(sv, tol), tuple(float(s) for s in sv), tol)
+    return RankDecision(_numerical_rank(sv, tol), tuple(float(s) for s in sv))
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:

@@ -55,19 +55,6 @@ class AffinePair:
     def apply_gamma_inv(self, x):
         return jets.matvec(np.linalg.inv(self.gamma_mat), x - self.gamma_shift)
 
-    def apply_delta(self, y):
-        return jets.matvec(self.delta_mat, y) + self.delta_shift
-
-    def inverse(self) -> "AffinePair":
-        gi = np.linalg.inv(self.gamma_mat)
-        di = np.linalg.inv(self.delta_mat)
-        return AffinePair(gi, -gi @ self.gamma_shift, di, -di @ self.delta_shift)
-
-
-def identity_pair(n: int) -> AffinePair:
-    z = np.zeros(n)
-    return AffinePair(np.eye(n), z, np.eye(n), z)
-
 
 def random_affine_pair(n: int, rng: np.random.Generator, spread: float = 2.0) -> AffinePair:
     """Well-conditioned random affine pair (singular values in [1/spread, spread])."""

@@ -98,9 +98,10 @@ def verify_stratification(model: MapModel, u0, k: int, pair: PairBase,
                           n_probes: int = 10, seed: int = 0,
                           tol: Tolerances = Tolerances()) -> StratificationRecord:
     """Codimension checks for h = 1..k plus the kernel-line dichotomy:
-    phi(u0) lies in the order-k tangent space iff J_k vanishes."""
-    u0 = np.asarray(u0, dtype=float)
+    phi(u0) lies in the order-k tangent space iff J_k vanishes.  ``u0`` is a
+    plain point or its ``linalg.Linearization``."""
     pf = PointFunctionals(model, pair, u0, tol.rank)
+    u0 = pf.u
     ranks, rank_ok, tangent_res = {}, {}, {}
     rows = []
     for h in range(1, k + 1):

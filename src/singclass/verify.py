@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import strata
+from . import linalg, strata
 from .classify import Classification, Tolerances, classify_point
 from .fibering import PointFunctionals, ScaleSpec, make_fibering_pair, rescale_pair
 from .model import MapModel, conjugate, random_affine_pair
@@ -51,37 +51,39 @@ def _random_scale_spec(rng: np.random.Generator, center: np.ndarray) -> ScaleSpe
 def scaling_law_error(model: MapModel, u, alpha: float = 2.0, beta: float = 3.0,
                       tol: Tolerances = Tolerances()) -> float:
     """Relative error of J1 against the alpha^2 * beta rescaling law at a
-    singular point (exact for constant rescalings)."""
-    u = np.asarray(u, dtype=float)
-    base = make_fibering_pair(model, u, tol.rank)
+    singular point (exact for constant rescalings).  ``u`` is a plain point
+    or its ``linalg.Linearization``."""
+    lin = linalg.linearize(model, u, tol.rank)
+    base = make_fibering_pair(model, lin, tol.rank)
     scaled = rescale_pair(base, ScaleSpec(alpha), ScaleSpec(beta))
-    j1 = PointFunctionals(model, base, u, tol.rank).J(1)
-    j1s = PointFunctionals(model, scaled, u, tol.rank).J(1)
+    j1 = PointFunctionals(model, base, lin, tol.rank).J(1)
+    j1s = PointFunctionals(model, scaled, lin, tol.rank).J(1)
     expect = alpha**2 * beta * j1
     return abs(j1s - expect) / max(1.0, abs(expect))
 
 
 def verify_problem(model: MapModel, u, trials: int = 50, seed: int = 0,
                    k_cap: int = 6, tol: Tolerances = Tolerances()) -> VerifyRecord:
-    u = np.asarray(u, dtype=float)
+    lin = linalg.linearize(model, u, tol.rank)  # the one F'(u) every base-point step reads
+    u = lin.u
     rng = np.random.default_rng(seed)
-    base = classify_point(model, u, k_cap=k_cap, tol=tol, route="both")
+    base = classify_point(model, lin, k_cap=k_cap, tol=tol, route="both")
     agreement = base.evidence.route_agreement is not False
 
     rescale_failures = 0
     rescale_trials = 0
     law_err = None
-    pair0 = make_fibering_pair(model, u, tol.rank) if base.kdim == 1 else None
+    pair0 = make_fibering_pair(model, lin, tol.rank) if base.kdim == 1 else None
     if pair0 is not None:
         for _ in range(trials):
             spec_a = _random_scale_spec(rng, u)
             spec_b = _random_scale_spec(rng, u)
             scaled = rescale_pair(pair0, spec_a, spec_b)
-            c = classify_point(model, u, k_cap=k_cap, tol=tol, route="fibering", pair=scaled)
+            c = classify_point(model, lin, k_cap=k_cap, tol=tol, route="fibering", pair=scaled)
             rescale_trials += 1
             if not c.same_kind(base):
                 rescale_failures += 1
-        law_err = scaling_law_error(model, u, tol=tol)
+        law_err = scaling_law_error(model, lin, tol=tol)
 
     conjugate_failures = 0
     for _ in range(trials):
@@ -95,7 +97,7 @@ def verify_problem(model: MapModel, u, trials: int = 50, seed: int = 0,
     strat = None
     if pair0 is not None and base.transversality_order >= 1:
         strat = strata.verify_stratification(
-            model, u, base.transversality_order, pair0, seed=seed, tol=tol
+            model, lin, base.transversality_order, pair0, seed=seed, tol=tol
         )
 
     return VerifyRecord(

@@ -69,6 +69,18 @@ def reference_differentiation_matrix(N: int, scheme: str = "spectral") -> np.nda
     return D
 
 
+def identity_affine(n: int) -> AffinePair:
+    z = np.zeros(n)
+    return AffinePair(np.eye(n), z, np.eye(n), z)
+
+
+def inverse_affine(pair: AffinePair) -> AffinePair:
+    """The affine pair (gamma^-1, delta^-1) that undoes ``pair``."""
+    gi = np.linalg.inv(pair.gamma_mat)
+    di = np.linalg.inv(pair.delta_mat)
+    return AffinePair(gi, -gi @ pair.gamma_shift, di, -di @ pair.delta_shift)
+
+
 def gallery_points(model: MapModel, rng: np.random.Generator, count: int, radius: float = 0.5):
     return [radius * rng.standard_normal(model.n) for _ in range(count)]
 

@@ -1,6 +1,8 @@
+from pathlib import Path
+
 import pytest
 
-from singclass.cli import main
+from singclass.cli import CONFIG_KEYS, main
 from singclass.report import SCHEMA_VERSION, parse, render
 from singclass.errors import ConfigParseError
 
@@ -163,6 +165,16 @@ class TestBvpCommand:
         assert data["result.kind"] == "KSingularity" and data["result.k"] == 3
         assert abs(data["oracle.J3_numeric"] - 24.0) < 1e-4
 
+    def test_quartic_report_below_64_points(self, tmp_path):
+        out = tmp_path / "b.txt"
+        code = run(["bvp", "--bvp-n", "32", "--bvp-a", "[(1, 0.0, 1.0)]",
+                    "--bvp-p", "[(0, 1.0, 0.0)]", "--out", str(out)])
+        assert code == 0
+        data = parse(out.read_text())
+        assert (data["result.kind"], data["result.k"]) == ("KSingularity", 3)
+        assert min(data["oracle.I1_cosine"], data["oracle.I2_cosine"]) > 1 - 1e-12
+        assert abs(data["oracle.J3_numeric"] - 24.0) < 1e-12
+
 
 class TestDeterminism:
     def test_classify_reports_byte_identical(self, tmp_path):
@@ -179,6 +191,42 @@ class TestDeterminism:
         assert run(args + ["--out", str(a)]) == 0
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("args", [
+        ["classify", "--gallery", "whitney", "--param", "k=2", "--point", "0,0", "--seed", "42",
+         "--route", "ls", "--tol-zero", "1e-7"],
+        ["bvp", "--bvp-n", "32", "--bvp-a", "[(1, 0.0, 1.0)]", "--bvp-p", "[(0, 1.0, 0.0)]"],
+    ])
+    def test_echoed_config_reproduces_report(self, tmp_path, args):
+        first, second, cfg = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "cfg.txt"
+        assert run(args + ["--out", str(first)]) == 0
+        lines = [line for line in first.read_text().splitlines() if line.startswith("config.")]
+        cfg.write_text("".join(line[len("config."):] + "\n" for line in lines))
+        assert run([args[0], "--config", str(cfg), "--out", str(second)]) == 0
+        assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("command, line", [
+        ("classify", "k_cap = 'x'"),
+        ("classify", "k_cap = True"),
+        ("verify", "trials = 'a'"),
+        ("verify", "seed = 1.5"),
+        ("classify", "seed = 1.5"),
+        ("bvp", "bvp.N = 64.5"),
+    ])
+    def test_wrong_type_value_is_an_error(self, tmp_path, capsys, command, line):
+        problem = ("problem.kind = 'bvp'\nbvp.a = [(1, 0.0, 1.0)]\n" if command == "bvp"
+                   else "problem.kind = 'gallery'\nproblem.name = 'fold_t2'\n")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(problem + line + "\n")
+        assert run([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {line.split()[0]}: expected an integer")
+
+    def test_readme_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paragraph = readme[readme.index("Config keys"):].split("\n\n")[0]
+        assert [row.key for row in CONFIG_KEYS if f"`{row.key}`" not in paragraph] == []
 
 
 class TestScenarioReports:

@@ -15,7 +15,7 @@ from singclass.gallery import gallery_map
 from singclass.linalg import linearize, rank_decision
 from singclass.model import conjugate, random_affine_pair
 
-from helpers import lie_J, pair_transform
+from helpers import identity_affine, lie_J, pair_transform
 
 TOL = Tolerances()
 
@@ -198,12 +198,10 @@ class TestRescaling:
 
 class TestPairTransform:
     def test_identity_transform_keeps_record(self):
-        from singclass.model import identity_pair
-
         model = gallery_map("whitney", {"k": 2, "dimZ": 0}).model
         u = np.zeros(2)
         pair = make_fibering_pair(model, u)
-        affine = identity_pair(2)
+        affine = identity_affine(2)
         tpair = pair_transform(pair, affine, model)
         J, _ = functionals(model, pair, u, 2)
         tJ, _ = functionals(conjugate(model, affine), tpair, u, 2)

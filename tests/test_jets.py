@@ -14,7 +14,7 @@ from singclass.errors import (
     OrderExceedsSmoothness,
 )
 from singclass.gallery import gallery_map
-from singclass.jets import Jet, constant, unit, variable
+from singclass.jets import Jet, constant, unit
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -29,7 +29,7 @@ class TestArithmetic:
         np.testing.assert_allclose((one_plus_s * one_plus_s).coeffs, [1.0, 2.0, 1.0])
 
     def test_exp_series(self):
-        s = variable("s", 3)
+        s = jet1([0.0, 1.0, 0.0, 0.0])
         np.testing.assert_allclose(s.exp().coeffs, [1.0, 1.0, 0.5, 1.0 / 6.0], atol=1e-15)
 
     def test_geometric_series_division(self):
@@ -238,6 +238,6 @@ class TestEvalCommutesWithTruncation:
         v = np.array([1.0, 0.7])
         x3 = constant(u, (name,), (3,)) + unit((name,), (3,), name) * v
         x1 = constant(u, (name,), (1,)) + unit((name,), (1,), name) * v
-        hi = model.eval(x3).truncate((1,))
+        hi = model.eval(x3)
         lo = model.eval(x1)
-        np.testing.assert_allclose(hi.coeffs, lo.coeffs, atol=1e-14)
+        np.testing.assert_allclose(hi.coeffs[..., :2], lo.coeffs, atol=1e-14)

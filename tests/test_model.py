@@ -8,11 +8,12 @@ from singclass.linalg import linearize
 from singclass.model import (
     AffinePair,
     conjugate,
-    identity_pair,
     is_simple_singularity,
     random_affine_pair,
 )
 from singclass.model import MapModel, SMOOTH
+
+from helpers import identity_affine, inverse_affine
 
 
 def test_singular_affine_rejected():
@@ -22,7 +23,7 @@ def test_singular_affine_rejected():
 
 def test_identity_conjugation_is_identity():
     fold = gallery_map("fold_t2").model
-    same = conjugate(fold, identity_pair(2))
+    same = conjugate(fold, identity_affine(2))
     rng = np.random.default_rng(0)
     for _ in range(10):
         u = rng.standard_normal(2)
@@ -33,7 +34,7 @@ def test_conjugate_roundtrip():
     model = gallery_map("whitney", {"k": 2}).model
     rng = np.random.default_rng(1)
     pair = random_affine_pair(2, rng)
-    back = conjugate(conjugate(model, pair), pair.inverse())
+    back = conjugate(conjugate(model, pair), inverse_affine(pair))
     for _ in range(10):
         u = rng.standard_normal(2)
         np.testing.assert_allclose(back(u), model(u), atol=1e-10)

@@ -5,6 +5,7 @@ from singclass.classify import Tolerances
 from singclass.errors import DegenerateGradient
 from singclass.fibering import ScaleSpec, make_fibering_pair, rescale_pair
 from singclass.gallery import gallery_map
+from singclass.linalg import linearize
 from singclass.strata import (
     project_to_singular,
     sample_stratum,
@@ -140,6 +141,13 @@ class TestStratification:
         pair = make_fibering_pair(model, np.zeros(2))
         rec = verify_stratification(model, np.zeros(2), 1, pair, n_probes=10, seed=3)
         assert rec.sampled_rank1_ok
+
+    def test_linearization_gives_same_record(self):
+        model = gallery_map("whitney", {"k": 3, "dimZ": 1}).model
+        u = np.zeros(model.n)
+        pair = make_fibering_pair(model, u)
+        plain = verify_stratification(model, u, 3, pair, n_probes=3, seed=2)
+        assert verify_stratification(model, linearize(model, u), 3, pair, n_probes=3, seed=2) == plain
 
 
 class TestSampling:

@@ -1,5 +1,6 @@
 import numpy as np
 
+from singclass import jets
 from singclass.gallery import gallery_map
 from singclass.verify import scaling_law_error, verify_problem
 
@@ -50,3 +51,20 @@ def test_deterministic_given_seed():
 def test_scaling_law_error_tiny_on_fold():
     err = scaling_law_error(gallery_map("fold_t2").model, [0.0, 0.0])
     assert err <= 1e-12
+
+
+def test_base_point_is_linearized_once(monkeypatch):
+    model = gallery_map("whitney", {"k": 3, "dimZ": 2}).model
+    u = np.zeros(model.n)
+    calls = []
+    jacobian = jets.jacobian
+
+    def counting_jacobian(m, x):
+        if m is model and not isinstance(x, jets.Jet) and np.array_equal(x, u):
+            calls.append(x)
+        return jacobian(m, x)
+
+    monkeypatch.setattr(jets, "jacobian", counting_jacobian)
+    rec = verify_problem(model, u, trials=20, seed=7)
+    assert rec.rescale_trials == 20 and rec.stratification is not None
+    assert len(calls) == 1
