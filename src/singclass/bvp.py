@@ -217,7 +217,7 @@ def quartic_cross_check(a_terms, p_terms, N: int = 64, scheme: str = "spectral",
     the pair-freedom scalar between routes may be negative, so cosines are
     reported after scalar alignment.
     """
-    problem = PeriodicProblem(N=N, a_terms=tuple(a_terms), p_terms=tuple(p_terms))
+    problem = PeriodicProblem(N=N, a_terms=tuple(a_terms), p_terms=tuple(p_terms), scheme=scheme)
     model = make_periodic_bvp(problem)
     oracle = quartic_analytic_oracle(a_terms, p_terms, quadN=N)
     pair = normalized_quartic_pair(model, tol)

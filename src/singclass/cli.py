@@ -265,7 +265,7 @@ def _classification_entries(c: Classification) -> list[tuple[str, object]]:
 def cmd_classify(cfg: AnalysisConfig) -> int:
     model, point = build_problem(cfg)
     if cfg.project:
-        pair = make_fibering_pair(model, _nearest_singular_seed(model, point, cfg))
+        pair = make_fibering_pair(model, _nearest_singular_seed(model, point, cfg), cfg.tol.rank)
         point = stratamod.project_to_singular(model, point, pair, tol=cfg.tol)
     c = classify_point(model, point, k_cap=cfg.k_cap, tol=cfg.tol, route=cfg.route)
     c.evidence.projected = cfg.project

@@ -63,22 +63,18 @@ class FiberingPair(PairBase):
     def prepare(self, pf: "PointFunctionals") -> None:
         pf.border_lu = linalg.border_factor(pf.Fp0, self.border_b, self.border_c, pf.tol)
 
-    def phi(self, pf, x, Fp):
-        n = self.border_b.shape[0]
-        zero = np.zeros(n)
+    def _solve(self, pf, Fp, trans: int):
+        zero = np.zeros(self.border_b.shape[0])
         sol, _ = linalg.bordered_solve(
-            Fp, self.border_b, self.border_c, (zero, 1.0), pf.tol, lu_piv=pf.border_lu
+            Fp, self.border_b, self.border_c, (zero, 1.0), pf.tol, lu_piv=pf.border_lu, trans=trans
         )
-        return sol * self.phi_scale
+        return sol
+
+    def phi(self, pf, x, Fp):
+        return self._solve(pf, Fp, 0) * self.phi_scale
 
     def psi(self, pf, x, Fp):
-        n = self.border_b.shape[0]
-        zero = np.zeros(n)
-        sol, _ = linalg.bordered_solve(
-            jets.transpose_mat(Fp), self.border_c, self.border_b, (zero, 1.0),
-            pf.tol, lu_piv=pf.border_lu, trans=1,
-        )
-        return sol * self.psi_scale
+        return self._solve(pf, Fp, 1) * self.psi_scale
 
     def with_normalization(self, phi_scale: float, psi_scale: float) -> "FiberingPair":
         return FiberingPair(self.base_point, self.border_b, self.border_c, phi_scale, psi_scale)
@@ -189,7 +185,7 @@ class PointFunctionals:
         ph = self.pair.phi(self, x, Fp)
         ps = self.pair.psi(self, x, Fp)
         if isinstance(x, Jet):
-            return (ps * linalg._matvec_jet_mat(Fp, ph)).vsum()
+            return (ps * jets.matvec(Fp, ph)).vsum()
         return float(np.dot(ps, Fp @ ph))
 
     def _phi_field(self, x):

@@ -270,33 +270,17 @@ class Jet:
         return Jet(keep_vars, keep_orders, arr)
 
     def extend(self, variables: Sequence[str], orders: Sequence[int]) -> "Jet":
-        """Embed into a larger context (the new one must contain the old)."""
+        """Append variables to the context; the old coefficients sit at
+        degree zero in the new ones."""
         variables = tuple(variables)
         orders = tuple(int(o) for o in orders)
-        pos = {v: i for i, v in enumerate(variables)}
-        for v, o in zip(self.vars, self.orders):
-            if v not in pos or orders[pos[v]] != o:
-                raise ValueError("target context does not contain the current one")
-        vnd = self.value_ndim
-        arr = self.coeffs
-        # bring existing jet axes into target order, inserting size-1 axes
-        src_axes = {v: vnd + i for i, v in enumerate(self.vars)}
-        perm = list(range(vnd))
-        inserted = []
-        work = arr
-        for v in variables:
-            if v not in src_axes:
-                work = np.expand_dims(work, axis=-1)
-                inserted.append(v)
-        # after expand_dims the new axes sit at the end; build permutation
-        cur = list(self.vars) + inserted
-        order_axes = [vnd + cur.index(v) for v in variables]
-        work = np.transpose(work, perm + order_axes)
-        pads = [(0, 0)] * vnd + [
-            (0, (orders[i] + 1) - work.shape[vnd + i]) for i in range(len(variables))
-        ]
-        work = np.pad(work, pads)
-        return Jet(variables, orders, work)
+        k = self.njet
+        if variables[:k] != self.vars or orders[:k] != self.orders:
+            raise ValueError("target context must start with the current one")
+        added = orders[k:]
+        arr = self.coeffs.reshape(self.coeffs.shape + (1,) * len(added))
+        pads = [(0, 0)] * self.coeffs.ndim + [(0, o) for o in added]
+        return Jet(variables, orders, np.pad(arr, pads))
 
 
 # -- constructors -----------------------------------------------------------
@@ -376,8 +360,35 @@ def stack(parts: Sequence) -> "Jet | np.ndarray":
     return Jet(jet.vars, jet.orders, np.stack(arrs, axis=len(vs)))
 
 
-def matvec(A: np.ndarray, x):
-    """Product of a plain matrix with a (jet) vector along the component axis."""
+def _matvec_jet_mat(M: Jet, x: Jet) -> Jet:
+    """Product of a jet-valued matrix with a jet-valued vector: the truncated
+    convolution of ``Jet.__mul__`` with a matrix product per degree of M."""
+    M._require_ctx(x)
+    vndm = M.value_ndim
+    orders = M.orders
+    vs = np.broadcast_shapes(M.value_shape[:-2], x.value_shape[:-1])
+    m = M.coeffs.shape[vndm - 2]
+    out = np.zeros(vs + (m,) + M.jet_shape)
+    xc = x.coeffs
+    for mu in np.ndindex(*M.jet_shape):
+        Mmu = M.coeffs[(Ellipsis, *mu)]
+        if not Mmu.any():
+            continue
+        xs = xc[(Ellipsis,) + tuple(slice(0, o + 1 - k) for k, o in zip(mu, orders))]
+        sub_shape = xs.shape[x.value_ndim:]
+        flat = xs.reshape(xs.shape[: x.value_ndim] + (int(np.prod(sub_shape, dtype=int)),))
+        prod = np.matmul(Mmu, flat)
+        prod = prod.reshape(prod.shape[:-1] + sub_shape)
+        out_sl = (Ellipsis, slice(None)) + tuple(slice(k, o + 1) for k, o in zip(mu, orders))
+        out[out_sl] += prod
+    return Jet(M.vars, M.orders, out)
+
+
+def matvec(A, x):
+    """Product of a plain matrix with a (jet) vector, or of a jet matrix with
+    a jet vector, along the component axis."""
+    if isinstance(A, Jet):
+        return _matvec_jet_mat(A, x)
     A = np.asarray(A, dtype=float)
     if not isinstance(x, Jet):
         return np.einsum("ij,...j->...i", A, np.asarray(x, dtype=float))

@@ -1,6 +1,7 @@
 """Dense small-matrix numerics: ranks with explicit tolerances, the
 linearization of a map at a point (kernel, cokernel and range from one SVD),
-and bordered solves (plain and in jet arithmetic)."""
+and bordered solves against one factored constant-term bordered matrix (jet
+solutions apply only the nilpotent part of the jet matrix on top of it)."""
 
 from __future__ import annotations
 
@@ -85,27 +86,6 @@ def linearize(model, u, tol: float = DEFAULT_RANK_TOL) -> Linearization:
     return Linearization.of_matrix(jets.jacobian(model, u), tol, u)
 
 
-def _border_matrix(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    n = A.shape[0]
-    M = np.zeros((n + 1, n + 1))
-    M[:n, :n] = A
-    M[:n, n] = b
-    M[n, :n] = c
-    return M
-
-
-def _border_jet(A: Jet, b: np.ndarray, c: np.ndarray) -> Jet:
-    vnd = A.value_ndim
-    nj = A.njet
-    n = A.coeffs.shape[vnd - 1]
-    shape = A.value_shape[:-2] + (n + 1, n + 1) + A.jet_shape
-    M = np.zeros(shape)
-    M[(Ellipsis, slice(0, n), slice(0, n)) + (slice(None),) * nj] = A.coeffs
-    M[(Ellipsis, slice(0, n), n) + (0,) * nj] = b
-    M[(Ellipsis, n, slice(0, n)) + (0,) * nj] = c
-    return Jet(A.vars, A.orders, M)
-
-
 def lu_solve_jet(lu_piv, r: Jet, trans: int = 0) -> Jet:
     """Apply a factored constant matrix inverse coefficient-wise."""
     vnd = r.value_ndim
@@ -116,48 +96,13 @@ def lu_solve_jet(lu_piv, r: Jet, trans: int = 0) -> Jet:
     return Jet(r.vars, r.orders, sol)
 
 
-def _matvec_jet_mat(M: Jet, x: Jet) -> Jet:
-    """Product of a jet-valued matrix with a jet-valued vector."""
-    vndm = M.value_ndim
-    orders = M.orders
-    vs = np.broadcast_shapes(M.value_shape[:-2], x.value_shape[:-1])
-    m = M.coeffs.shape[vndm - 2]
-    out = np.zeros(vs + (m,) + M.jet_shape)
-    xc = x.coeffs
-    for mu in np.ndindex(*M.jet_shape):
-        Mmu = M.coeffs[(Ellipsis, *mu)]
-        if not Mmu.any():
-            continue
-        xs = xc[(Ellipsis,) + tuple(slice(0, o + 1 - k) for k, o in zip(mu, orders))]
-        sub_shape = xs.shape[x.value_ndim:]
-        flat = xs.reshape(xs.shape[: x.value_ndim] + (int(np.prod(sub_shape, dtype=int)),))
-        prod = np.matmul(Mmu, flat)
-        prod = prod.reshape(prod.shape[:-1] + sub_shape)
-        out_sl = (Ellipsis, slice(None)) + tuple(slice(k, o + 1) for k, o in zip(mu, orders))
-        out[out_sl] += prod
-    return Jet(M.vars, M.orders, out)
-
-
-def _jet_border_solve(M: Jet, rhs: Jet, lu_piv, trans: int = 0) -> Jet:
-    """Solve M X = rhs where M's constant coefficient is the factored matrix.
-
-    Fixed-point iteration X <- M0^{-1}(rhs - N X) with N the nilpotent part
-    of M; each pass fixes one more total degree, so ``sum(orders)`` passes
-    give the exact truncated solution (back-substitution in disguise).
-    """
-    nil_c = M.coeffs.copy()
-    nil_c[(Ellipsis, *(0,) * M.njet)] = 0.0
-    N = Jet(M.vars, M.orders, nil_c)
-    X = lu_solve_jet(lu_piv, rhs, trans=trans)
-    for _ in range(sum(M.orders)):
-        resid = rhs - _matvec_jet_mat(N, X)
-        X = lu_solve_jet(lu_piv, resid, trans=trans)
-    return X
-
-
 def border_factor(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = DEFAULT_RANK_TOL):
     """Factor the bordered matrix [[A, b], [c^T, 0]], checking regularity."""
-    M0 = _border_matrix(np.asarray(A, dtype=float), b, c)
+    n = len(b)
+    M0 = np.zeros((n + 1, n + 1))
+    M0[:n, :n] = A
+    M0[:n, n] = b
+    M0[n, :n] = c
     sv = np.linalg.svd(M0, compute_uv=False)
     if _numerical_rank(sv, tol) < sv.size:
         raise SingularBorder(
@@ -167,38 +112,35 @@ def border_factor(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = DEFA
 
 
 def bordered_solve(A, b, c, rhs, tol: float = DEFAULT_RANK_TOL, lu_piv=None, trans: int = 0):
-    """Solution (x, s) of the bordered system [[A, b], [c^T, 0]] (x, s) = rhs.
+    """Solution (x, s) of [[A, b], [c^T, 0]] (x, s) = rhs, or with ``trans=1``
+    of the transposed system [[A^T, c], [b^T, 0]] (x, s) = rhs.
 
-    ``A`` and ``rhs[0]`` may be jet-valued; the system is then solved
-    coefficient-by-coefficient against the factored constant-term matrix
-    (pass ``lu_piv`` to reuse a factorization across many solves).
+    ``rhs`` is plain.  A jet-valued ``A`` (batch axes allowed) gives jet
+    solutions: only A carries jet terms, so with M0 the constant-term bordered
+    matrix and N the nilpotent part of A, the passes
+    (x, s) <- M0^{-1} (rhs - (N x, 0)) fix one more total degree each and
+    ``sum(orders)`` of them give the exact truncated solution.  Pass
+    ``lu_piv`` (``border_factor`` of A's constant term) to reuse one
+    factorization across many solves; a batched A needs it.
     """
     r1, r2 = rhs
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    n = b.shape[0]
-    if isinstance(A, Jet) or isinstance(r1, Jet):
-        if not isinstance(A, Jet):
-            raise ValueError("jet-valued rhs requires a jet-valued matrix")
-        if lu_piv is None:
-            lu_piv = border_factor(A.const if A.value_ndim == 2 else A.const[(0,) * (A.value_ndim - 2)], b, c, tol)
-        M = _border_jet(A, b, c)
-        if isinstance(r1, Jet):
-            R = jets.stack([r1[i] for i in range(n)] + [r2])
-        else:
-            rr = np.zeros(np.asarray(r1).shape[:-1] + (n + 1,))
-            rr[..., :n] = r1
-            rr[..., n] = r2
-            R = jets.constant(rr, A.vars, A.orders)
-        X = _jet_border_solve(M, R, lu_piv, trans=trans)
-        xs = Jet(X.vars, X.orders, X.coeffs[(Ellipsis, slice(0, n)) + (slice(None),) * X.njet])
-        s = X[n]
-        return xs, s
-    A = np.asarray(A, dtype=float)
+    n = len(b)
     if lu_piv is None:
-        lu_piv = border_factor(A, b, c, tol)
-    rr = np.zeros(n + 1)
-    rr[:n] = r1
-    rr[n] = r2
-    sol = lu_solve(lu_piv, rr, trans=trans)
-    return sol[:n], float(sol[n])
+        lu_piv = border_factor(A.const if isinstance(A, Jet) else A, b, c, tol)
+    R = np.append(np.asarray(r1, dtype=float), r2)
+    if not isinstance(A, Jet):
+        sol = lu_solve(lu_piv, R, trans=trans)
+        return sol[:n], float(sol[n])
+    vnd, nj = A.value_ndim, A.njet
+    nil = A.coeffs.copy()
+    nil[(Ellipsis, *(0,) * nj)] = 0.0
+    N = Jet(A.vars, A.orders, np.swapaxes(nil, vnd - 2, vnd - 1) if trans else nil)
+    head = (Ellipsis, slice(0, n)) + (slice(None),) * nj
+    R = jets.constant(R, A.vars, A.orders)
+    X = lu_solve_jet(lu_piv, R, trans=trans)
+    for _ in range(sum(A.orders)):
+        Nx = jets.matvec(N, Jet(X.vars, X.orders, X.coeffs[head]))
+        resid = np.broadcast_to(R.coeffs, Nx.value_shape[:-1] + R.coeffs.shape).copy()
+        resid[head] -= Nx.coeffs
+        X = lu_solve_jet(lu_piv, Jet(X.vars, X.orders, resid), trans=trans)
+    return Jet(X.vars, X.orders, X.coeffs[head]), X[n]

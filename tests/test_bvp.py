@@ -214,6 +214,18 @@ class TestQuarticProblem:
         assert res["I2_cosine"] >= 1 - 1e-6
         assert res["J3_numeric"] == pytest.approx(24.0, abs=1e-4)
 
+    def test_cross_check_follows_scheme(self):
+        fd = "periodic_finite_difference"
+        model = make_periodic_bvp(PeriodicProblem(N=32, a_terms=A_SIN, p_terms=P_ONE, scheme=fd))
+        pf = PointFunctionals(model, normalized_quartic_pair(model), np.zeros(32))
+        rows = np.vstack([pf.row(1), pf.row(2), pf.row(3)])
+        res = quartic_cross_check(A_SIN, P_ONE, N=32, scheme=fd)
+        assert res["J"] == [pf.J(k) for k in range(4)]
+        assert res["stack_singular_values"] == list(rank_decision(rows).singular_values)
+        spectral = quartic_cross_check(A_SIN, P_ONE, N=32)
+        assert res["I2_scalar"] != pytest.approx(spectral["I2_scalar"], rel=1e-3)
+        assert res["stack_singular_values"] != spectral["stack_singular_values"]
+
     def test_row_dependence_in_degenerate_case(self):
         res = quartic_cross_check(A_SIN, (), N=64)
         assert res["sigma3_over_sigma1"] < 1e-6

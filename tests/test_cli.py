@@ -77,6 +77,17 @@ class TestClassifyCommand:
         assert data["point"] == [0.0, 0.7]
         assert data["result.kind"] == "KSingularity"
 
+    def test_projection_pair_uses_rank_tolerance(self, tmp_path):
+        # at tol.rank = 1e-3 the seed (1e-5, 0.7) is already simple; the pair
+        # built there must use the same tolerance
+        out = tmp_path / "r.txt"
+        code = run(["classify", "--gallery", "fold_t2", "--point", "0.00001,0.7",
+                    "--project", "--tol-rank", "1e-3", "--out", str(out)])
+        assert code == 0
+        data = parse(out.read_text())
+        assert data["point"] == [0.0, 0.7]
+        assert (data["result.kind"], data["result.k"]) == ("KSingularity", 1)
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(

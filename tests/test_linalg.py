@@ -158,3 +158,42 @@ class TestBorderedSolve:
         xm, _ = linalg.bordered_solve(A0 - h * A1, b, c, (np.zeros(3), 1.0))
         fd1 = (xp - xm) / (2 * h)
         np.testing.assert_allclose(np.asarray(x.extract({name: 1})), fd1, rtol=1e-6, atol=1e-8)
+
+    def test_transposed_jet_solve(self):
+        # trans=1 solves [[A^T, c], [b^T, 0]] with A's jet terms transposed too
+        rng = np.random.default_rng(19)
+        A0 = rng.standard_normal((3, 3)) + 3 * np.eye(3)
+        A1 = rng.standard_normal((3, 3))
+        b, c = rng.standard_normal(3), rng.standard_normal(3)
+        r1, r2 = rng.standard_normal(3), rng.standard_normal()
+        name = jets.fresh_name("s")
+        Aj = constant(A0, (name,), (2,)) + unit((name,), (2,), name) * A1
+        x, s = linalg.bordered_solve(Aj, b, c, (r1, r2), trans=1)
+        top = jets.matvec(jets.transpose_mat(Aj), x) + s * c - r1
+        bottom = jets.dot(b, x) - r2
+        assert max(np.abs(top.coeffs).max(), np.abs(bottom.coeffs).max()) < 1e-12
+        h = 1e-5
+        xp, _ = linalg.bordered_solve(A0 + h * A1, b, c, (r1, r2), trans=1)
+        xm, _ = linalg.bordered_solve(A0 - h * A1, b, c, (r1, r2), trans=1)
+        fd1 = (xp - xm) / (2 * h)
+        np.testing.assert_allclose(np.asarray(x.extract({name: 1})), fd1, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("trans", [0, 1])
+    def test_batched_jet_equals_unbatched_solves(self, trans):
+        # probe batching: one constant term, a different nilpotent part per probe
+        rng = np.random.default_rng(23)
+        n = 4
+        A0 = rng.standard_normal((n, n)) + n * np.eye(n)
+        b, c = rng.standard_normal(n), rng.standard_normal(n)
+        name = jets.fresh_name("s")
+        co = np.zeros((3, n, n, 3))
+        co[..., 0] = A0
+        co[..., 1:] = rng.standard_normal((3, n, n, 2))
+        rhs = (np.zeros(n), 1.0)
+        lu = linalg.border_factor(A0, b, c)
+        x, s = linalg.bordered_solve(Jet((name,), (2,), co), b, c, rhs, lu_piv=lu, trans=trans)
+        assert x.value_shape == (3, n) and s.value_shape == (3,)
+        for i in range(3):
+            xi, si = linalg.bordered_solve(Jet((name,), (2,), co[i]), b, c, rhs, trans=trans)
+            np.testing.assert_array_equal(x.coeffs[i], xi.coeffs)
+            np.testing.assert_array_equal(s.coeffs[i], si.coeffs)

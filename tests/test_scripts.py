@@ -1,0 +1,27 @@
+"""Smoke tests: the example scripts run to completion from a plain checkout."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *args):
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *args],
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_gallery_table_has_no_misclassification():
+    proc = run_script("gallery_table.py")
+    assert proc.returncode == 0, proc.stderr
+    assert "\n0 misclassifications" in proc.stdout
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "periodic_finite_difference"])
+def test_quartic_experiment_runs(scheme):
+    proc = run_script("quartic_experiment.py", "--n", "16", "--scheme", scheme)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("== ") == 2
