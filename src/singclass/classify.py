@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
-from .errors import DepthCapExceeded
+from . import jets, linalg
 from .fibering import PairBase, PointFunctionals, make_fibering_pair
 from .lsreduce import local_representation
 from .model import MapModel
@@ -34,12 +33,12 @@ MAXIMAL_K_TRANSVERSE = "MaximalKTransverse"
 TRANSVERSE_UP_TO_CAP = "TransverseUpToCap"
 INDETERMINATE = "Indeterminate"
 
-K_CAP_MAX = 8
+K_CAP_MAX = jets.NESTING_CAP  # rows up to I_{k_cap} stay within the nesting cap
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    rank: float = 1e-8
+    rank: float = linalg.DEFAULT_RANK_TOL
     zero: float = 1e-6
     nonzero: float = 1e-3
 
@@ -143,10 +142,7 @@ def _run_route(route: str, pair_id: str, functionals, k_cap: int, d: int,
             return finish(TRANSVERSE_UP_TO_CAP, k_cap, k_cap)
         if k + 1 > d - 1:
             return finish(MAXIMAL_K_TRANSVERSE, k, k)
-        try:
-            rows.append(functionals.row(k + 1))
-        except DepthCapExceeded:
-            return finish(TRANSVERSE_UP_TO_CAP, k, k)
+        rows.append(functionals.row(k + 1))
         dec = linalg.rank_decision(np.array(rows), tol.rank)
         ev.singular_values[k + 1] = list(dec.singular_values)
         if dec.rank == k:

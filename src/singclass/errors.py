@@ -5,14 +5,6 @@ class SingclassError(Exception):
     """Base class for all package errors."""
 
 
-class DivisionByZeroJet(SingclassError):
-    """Jet division by a jet whose constant term is zero."""
-
-
-class DomainError(SingclassError):
-    """Elementary function evaluated outside its real domain."""
-
-
 class OrderExceedsSmoothness(SingclassError):
     """A derivative order beyond the map's declared smoothness was requested."""
 

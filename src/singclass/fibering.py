@@ -30,6 +30,7 @@ from .jets import Jet
 from .model import MapModel
 
 _ROW_BATCH_BUDGET = 1 << 20  # floats per jet intermediate when batching probes
+_SCALE_RADIUS = 0.5  # working neighbourhood on which a ScaleSpec must not vanish
 
 
 class PairBase:
@@ -96,12 +97,12 @@ class ScaleSpec:
         s = (dx * qd).vsum() if isinstance(dx, Jet) else float(np.dot(np.asarray(dx), qd))
         return (s + 1.0) * self.value
 
-    def validate(self, radius: float = 0.5) -> None:
+    def validate(self) -> None:
         if abs(self.value) < 1e-6:
             raise VanishingScale("constant factor too close to zero")
         if self.quad is not None:
             norm = float(np.linalg.norm(self.quad, 2))
-            if norm * radius * radius >= 0.9:
+            if norm * _SCALE_RADIUS * _SCALE_RADIUS >= 0.9:
                 raise VanishingScale("quadratic term may vanish on the working neighbourhood")
 
     def describe(self) -> str:

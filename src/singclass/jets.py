@@ -8,10 +8,10 @@ axes are value axes, so a vector in R^n is a jet with value shape ``(n,)``
 and extra leading axes act as broadcastable batch dimensions.
 
 Arithmetic is exact truncated-polynomial arithmetic: products are truncated
-convolutions, and analytic functions (exp, log, sin, cos) are evaluated by
-composing the function's Taylor series with the nilpotent part of the
-argument, which terminates after ``sum(orders)`` terms.  A jet with all
-orders zero degenerates to plain float arithmetic bit for bit.
+convolutions, and exp is evaluated by composing its Taylor series with the
+nilpotent part of the argument, which terminates after ``sum(orders)``
+terms.  A jet with all orders zero degenerates to plain float arithmetic bit
+for bit.
 
 The helpers at the bottom (``exp``, ``comp``, ``stack``, ``matvec``, ...)
 dispatch on the argument type so the same map code runs on plain numpy
@@ -26,11 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DivisionByZeroJet,
-    DomainError,
-    OrderExceedsSmoothness,
-)
+from .errors import OrderExceedsSmoothness
 
 NESTING_CAP = 8
 
@@ -139,22 +135,6 @@ class Jet:
     def __rmul__(self, other):
         return self._scale(np.asarray(other, dtype=float))
 
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            self._require_ctx(other)
-            if np.any(np.asarray(other.const) == 0.0):
-                raise DivisionByZeroJet("jet divisor has zero constant term")
-            if sum(self.orders) == 0:
-                return Jet(self.vars, self.orders, self.coeffs / other.coeffs)
-            return self * other.reciprocal()
-        return self._scale(1.0 / np.asarray(other, dtype=float))
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
-
-    def __pow__(self, n):
-        return self.powi(n)
-
     # -- analytic functions ------------------------------------------------
 
     def _compose_series(self, derivs: list[np.ndarray]) -> "Jet":
@@ -175,50 +155,14 @@ class Jet:
             acc = acc * nil + d
         return acc
 
-    def _series_order(self) -> int:
-        return sum(self.orders)
-
     def exp(self) -> "Jet":
-        c0 = self.const
-        m = self._series_order()
-        e = np.exp(c0)
-        return self._compose_series([e / math.factorial(i) for i in range(m + 1)])
-
-    def log(self) -> "Jet":
-        c0 = np.asarray(self.const)
-        if np.any(c0 <= 0.0):
-            raise DomainError("log of jet with non-positive constant term")
-        m = self._series_order()
-        derivs = [np.log(c0)]
-        for i in range(1, m + 1):
-            derivs.append(((-1.0) ** (i + 1)) / (i * c0**i))
-        return self._compose_series(derivs)
-
-    def sin(self) -> "Jet":
-        c0 = self.const
-        m = self._series_order()
-        cycle = [np.sin(c0), np.cos(c0), -np.sin(c0), -np.cos(c0)]
-        return self._compose_series([cycle[i % 4] / math.factorial(i) for i in range(m + 1)])
-
-    def cos(self) -> "Jet":
-        c0 = self.const
-        m = self._series_order()
-        cycle = [np.cos(c0), -np.sin(c0), -np.cos(c0), np.sin(c0)]
-        return self._compose_series([cycle[i % 4] / math.factorial(i) for i in range(m + 1)])
-
-    def reciprocal(self) -> "Jet":
-        c0 = np.asarray(self.const)
-        if np.any(c0 == 0.0):
-            raise DivisionByZeroJet("jet divisor has zero constant term")
-        m = self._series_order()
-        return self._compose_series([((-1.0) ** i) / c0 ** (i + 1) for i in range(m + 1)])
+        e = np.exp(self.const)
+        return self._compose_series([e / math.factorial(i) for i in range(sum(self.orders) + 1)])
 
     def powi(self, n: int) -> "Jet":
-        if n != int(n):
-            raise ValueError("powi requires an integer exponent")
+        if n != int(n) or n < 0:
+            raise ValueError("powi requires a non-negative integer exponent")
         n = int(n)
-        if n < 0:
-            return self.reciprocal().powi(-n)
         result = None
         base = self
         while n > 0:
@@ -278,9 +222,9 @@ class Jet:
         if variables[:k] != self.vars or orders[:k] != self.orders:
             raise ValueError("target context must start with the current one")
         added = orders[k:]
-        arr = self.coeffs.reshape(self.coeffs.shape + (1,) * len(added))
-        pads = [(0, 0)] * self.coeffs.ndim + [(0, o) for o in added]
-        return Jet(variables, orders, np.pad(arr, pads))
+        out = np.zeros(self.coeffs.shape + tuple(o + 1 for o in added))
+        out[(Ellipsis, *(0,) * len(added))] = self.coeffs
+        return Jet(variables, orders, out)
 
 
 # -- constructors -----------------------------------------------------------
@@ -312,22 +256,6 @@ def unit(variables: Sequence[str], orders: Sequence[int], name: str) -> Jet:
 
 def exp(x):
     return x.exp() if isinstance(x, Jet) else np.exp(x)
-
-
-def log(x):
-    if isinstance(x, Jet):
-        return x.log()
-    if np.any(np.asarray(x) <= 0.0):
-        raise DomainError("log of non-positive value")
-    return np.log(x)
-
-
-def sin(x):
-    return x.sin() if isinstance(x, Jet) else np.sin(x)
-
-
-def cos(x):
-    return x.cos() if isinstance(x, Jet) else np.cos(x)
 
 
 def powi(x, n: int):

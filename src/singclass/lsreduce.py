@@ -35,7 +35,7 @@ class LSModel:
     F_u0: np.ndarray
     kernel_vec: np.ndarray        # c, unit kernel vector of F'(u0)
     left_null_vec: np.ndarray     # w, unit left-null vector of F'(u0)
-    range_basis: np.ndarray       # Q, n x (n-1), orthonormal basis of w-perp
+    z_rows: np.ndarray            # [0; Q^T], Q n x (n-1) an orthonormal basis of w-perp
     alpha_lu: object
     cond_alpha: float
     model: MapModel
@@ -50,10 +50,8 @@ class LSModel:
     def alpha(self, x):
         """Coordinates (t, z) of a (jet) point x."""
         t = jets.dot(self.kernel_vec, x - self.u0)
-        z = jets.matvec(self.range_basis.T, self.model.eval(x) - self.F_u0)
-        if isinstance(x, Jet):
-            return jets.stack([t] + [z[i] for i in range(self.n - 1)])
-        return np.concatenate([np.atleast_1d(t), z])
+        z = jets.matvec(self.z_rows, self.model.eval(x) - self.F_u0)
+        return jets.stack([t]) * np.eye(1, self.n)[0] + z
 
     def alpha_inverse_jet(self, y: Jet) -> Jet:
         """x with alpha(x) = y, for a jet y whose constant term is 0.
@@ -148,7 +146,7 @@ def local_representation(model: MapModel, u0, tol: float = linalg.DEFAULT_RANK_T
         F_u0=np.asarray(model(lin.u), dtype=float),
         kernel_vec=c,
         left_null_vec=lin.cokernel[:, 0],
-        range_basis=Q,
+        z_rows=np.vstack([np.zeros(lin.u.shape[0]), Q.T]),
         alpha_lu=lu_factor(np.vstack([c[None, :], Q.T @ lin.A])),
         cond_alpha=cond,
         model=model,

@@ -52,9 +52,6 @@ class AffinePair:
     def apply_gamma(self, u):
         return jets.matvec(self.gamma_mat, u) + self.gamma_shift
 
-    def apply_gamma_inv(self, x):
-        return jets.matvec(np.linalg.inv(self.gamma_mat), x - self.gamma_shift)
-
 
 def random_affine_pair(n: int, rng: np.random.Generator, spread: float = 2.0) -> AffinePair:
     """Well-conditioned random affine pair (singular values in [1/spread, spread])."""

@@ -14,6 +14,11 @@ from .errors import DegenerateGradient, NoConvergence, NotIndependent, SingularB
 from .fibering import PairBase, PointFunctionals
 from .model import MapModel
 
+NEWTON_MAX_ITER = 25
+NEWTON_TARGET = 1e-10  # |J0| at which a Newton iterate counts as singular
+SAMPLE_RADIUS = 0.1
+SAMPLE_H_MAX = 3
+
 
 @dataclass
 class StratumSample:
@@ -23,27 +28,27 @@ class StratumSample:
     seed: int
 
 
-def project_to_singular(model: MapModel, u_guess, pair: PairBase, max_iter: int = 25,
-                        tol: Tolerances = Tolerances(), target: float = 1e-10) -> np.ndarray:
+def project_to_singular(model: MapModel, u_guess, pair: PairBase,
+                        tol: Tolerances = Tolerances()) -> np.ndarray:
     """Newton iteration for J0 = 0 along the I1 direction.
 
     Well-posed near a 1-transverse point, where the singular set is the
     regular zero set of J0.
     """
     u = np.asarray(u_guess, dtype=float).copy()
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         pf = PointFunctionals(model, pair, u, tol.rank)
         i1 = pf.row(1)
         if linalg.rank_decision(i1[None, :], tol.rank).rank == 0:
             raise DegenerateGradient("I1 vanishes at the current iterate")
         j0 = pf.J(0)
-        if abs(j0) <= target:
+        if abs(j0) <= NEWTON_TARGET:
             return u
         u = u - (j0 / float(np.dot(i1, i1))) * i1
     pf = PointFunctionals(model, pair, u, tol.rank)
-    if abs(pf.J(0)) <= target:
+    if abs(pf.J(0)) <= NEWTON_TARGET:
         return u
-    raise NoConvergence(f"|J0| = {abs(pf.J(0)):.3e} after {max_iter} Newton steps")
+    raise NoConvergence(f"|J0| = {abs(pf.J(0)):.3e} after {NEWTON_MAX_ITER} Newton steps")
 
 
 def stratum_membership(model: MapModel, u, h: int, pair: PairBase,
@@ -61,14 +66,6 @@ def stratum_membership(model: MapModel, u, h: int, pair: PairBase,
     return member, vals
 
 
-def _null_basis(rows: np.ndarray) -> list[np.ndarray]:
-    """Orthonormal, sign-fixed basis of the common null space of full-rank rows."""
-    h, n = rows.shape
-    _, _, Vt = np.linalg.svd(rows)
-    basis = linalg._fix_signs(Vt[h:].T)
-    return [basis[:, j] for j in range(n - h)]
-
-
 def tangent_space(model: MapModel, u, h: int, pair: PairBase,
                   tol: Tolerances = Tolerances()) -> list[np.ndarray]:
     """Orthonormal basis of the intersection of the null spaces of I_1 .. I_h."""
@@ -80,14 +77,15 @@ def tangent_space(model: MapModel, u, h: int, pair: PairBase,
     dec = linalg.rank_decision(rows, tol.rank)
     if dec.rank != h:
         raise NotIndependent(f"rows I_1..I_{h} have rank {dec.rank} < {h}")
-    return _null_basis(rows)
+    _, _, Vt = np.linalg.svd(rows)
+    basis = linalg._fix_signs(Vt[h:].T)
+    return [basis[:, j] for j in range(n - h)]
 
 
 @dataclass
 class StratificationRecord:
     ranks: dict[int, int]
     rank_ok: dict[int, bool]
-    tangent_residuals: dict[int, float]
     phi_in_tangent: bool
     J_k_zero: bool
     dichotomy_consistent: bool
@@ -102,7 +100,7 @@ def verify_stratification(model: MapModel, u0, k: int, pair: PairBase,
     plain point or its ``linalg.Linearization``."""
     pf = PointFunctionals(model, pair, u0, tol.rank)
     u0 = pf.u
-    ranks, rank_ok, tangent_res = {}, {}, {}
+    ranks, rank_ok = {}, {}
     rows = []
     for h in range(1, k + 1):
         rows.append(pf.row(h))
@@ -110,9 +108,6 @@ def verify_stratification(model: MapModel, u0, k: int, pair: PairBase,
         dec = linalg.rank_decision(stack, tol.rank)
         ranks[h] = dec.rank
         rank_ok[h] = dec.rank == h
-        if rank_ok[h]:
-            basis = _null_basis(stack)
-            tangent_res[h] = max(float(np.max(np.abs(stack @ b))) for b in basis) if basis else 0.0
     phi = pf.phi0
     resid = np.linalg.norm(stack @ phi)
     row_scale = max(1.0, float(np.linalg.norm(stack)) * float(np.linalg.norm(phi)))
@@ -135,7 +130,6 @@ def verify_stratification(model: MapModel, u0, k: int, pair: PairBase,
     return StratificationRecord(
         ranks=ranks,
         rank_ok=rank_ok,
-        tangent_residuals=tangent_res,
         phi_in_tangent=bool(phi_in),
         J_k_zero=bool(jk_zero),
         dichotomy_consistent=bool(phi_in == jk_zero),
@@ -143,8 +137,7 @@ def verify_stratification(model: MapModel, u0, k: int, pair: PairBase,
     )
 
 
-def sample_stratum(model: MapModel, u0, pair: PairBase, count: int = 20,
-                   radius: float = 0.1, seed: int = 0, h_max: int = 3,
+def sample_stratum(model: MapModel, u0, pair: PairBase, count: int = 20, seed: int = 0,
                    tol: Tolerances = Tolerances()) -> StratumSample:
     """Project random nearby guesses onto the singular set and record the
     largest stratum order each projected point still belongs to.
@@ -155,7 +148,7 @@ def sample_stratum(model: MapModel, u0, pair: PairBase, count: int = 20,
     rng = np.random.default_rng(seed)
     pts, hs, res = [], [], []
     for _ in range(count):
-        r = radius
+        r = SAMPLE_RADIUS
         for _attempt in range(5):
             guess = np.asarray(u0, dtype=float) + r * rng.standard_normal(model.n)
             try:
@@ -166,10 +159,10 @@ def sample_stratum(model: MapModel, u0, pair: PairBase, count: int = 20,
         else:
             continue
         pf = PointFunctionals(model, pair, pt, tol.rank)
-        vals = [pf.J(j) for j in range(h_max)]
+        vals = [pf.J(j) for j in range(SAMPLE_H_MAX)]
         scale = max(1.0, max(abs(v) for v in vals))
         h = 0
-        while h < h_max and tol.zero_state(vals[h], scale) == "zero":
+        while h < SAMPLE_H_MAX and tol.zero_state(vals[h], scale) == "zero":
             h += 1
         pts.append(pt)
         hs.append(h)

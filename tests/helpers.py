@@ -136,24 +136,28 @@ class TransformedPair(PairBase):
         self.affine = affine
         self.inner_model = inner_model
         self._binv_t = np.linalg.inv(affine.delta_mat).T
+        self._ainv = np.linalg.inv(affine.gamma_mat)
         self.base_point = np.asarray(affine.apply_gamma(inner.base_point), dtype=float)
 
     @property
     def pair_id(self) -> str:
         return f"transformed<-{self.inner.pair_id}"
 
+    def _gamma_inv(self, x):
+        return jets.matvec(self._ainv, x - self.affine.gamma_shift)
+
     def prepare(self, pf):
-        u_in = self.affine.apply_gamma_inv(pf.u)
+        u_in = self._gamma_inv(pf.u)
         pf.inner_pf = PointFunctionals(self.inner_model, self.inner, u_in, pf.tol)
 
     def phi(self, pf, x, Fp):
-        u_in = self.affine.apply_gamma_inv(x)
+        u_in = self._gamma_inv(x)
         Fp_in = jets.jacobian(self.inner_model, u_in)
         ph = self.inner.phi(pf.inner_pf, u_in, Fp_in)
         return jets.matvec(self.affine.gamma_mat, ph)
 
     def psi(self, pf, x, Fp):
-        u_in = self.affine.apply_gamma_inv(x)
+        u_in = self._gamma_inv(x)
         Fp_in = jets.jacobian(self.inner_model, u_in)
         ps = self.inner.psi(pf.inner_pf, u_in, Fp_in)
         return jets.matvec(self._binv_t, ps)

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,12 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import fd_directional, nested_lie_derivative, reference_truncated_convolution
 from singclass import jets
-from singclass.errors import (
-    DepthCapExceeded,
-    DivisionByZeroJet,
-    DomainError,
-    OrderExceedsSmoothness,
-)
+from singclass.errors import DepthCapExceeded, OrderExceedsSmoothness
 from singclass.gallery import gallery_map
 from singclass.jets import Jet, constant, unit
 
@@ -32,35 +29,13 @@ class TestArithmetic:
         s = jet1([0.0, 1.0, 0.0, 0.0])
         np.testing.assert_allclose(s.exp().coeffs, [1.0, 1.0, 0.5, 1.0 / 6.0], atol=1e-15)
 
-    def test_geometric_series_division(self):
-        np.testing.assert_allclose(
-            (jet1([1.0, 0.0, 0.0]) / jet1([1.0, 1.0, 0.0])).coeffs, [1.0, -1.0, 1.0]
-        )
-
-    def test_division_by_zero_constant_raises(self):
-        with pytest.raises(DivisionByZeroJet):
-            jet1([1.0, 0.0]) / jet1([0.0, 1.0])
-
-    def test_log_domain(self):
-        with pytest.raises(DomainError):
-            jet1([-1.0, 1.0]).log()
-
-    def test_log_inverts_exp(self):
-        x = jet1([0.3, 1.0, -0.2, 0.05])
-        np.testing.assert_allclose(x.exp().log().coeffs, x.coeffs, atol=1e-13)
-
-    def test_sin_cos_pythagoras(self):
-        x = jet1([0.7, 1.0, 0.5])
-        one = x.sin() * x.sin() + x.cos() * x.cos()
-        np.testing.assert_allclose(one.coeffs, [1.0, 0.0, 0.0], atol=1e-14)
-
     def test_powi_matches_repeated_multiplication(self):
         x = jet1([1.2, -0.3, 0.4, 0.1])
         np.testing.assert_allclose((x.powi(5)).coeffs, (x * x * x * x * x).coeffs, atol=1e-12)
 
-    def test_negative_power(self):
-        x = jet1([2.0, 1.0])
-        np.testing.assert_allclose((x.powi(-1) * x).coeffs, [1.0, 0.0], atol=1e-15)
+    def test_negative_power_raises(self):
+        with pytest.raises(ValueError):
+            jet1([2.0, 1.0]).powi(-1)
 
     @given(
         a=st.lists(finite, min_size=3, max_size=3),
@@ -108,16 +83,12 @@ class TestOrderZeroDegeneration:
         assert float((jx + jy).const) == x + y
         assert float((jx - jy).const) == x - y
         assert float((jx * jy).const) == x * y
-        if abs(y) > 1e-8:
-            assert float((jx / jy).const) == x / y
 
     @given(x=finite)
     @settings(max_examples=30, deadline=None)
     def test_analytic_ops_bitwise(self, x):
         jx = constant(x, ("s",), (0,))
         assert float(jx.exp().const) == math.exp(x) or float(jx.exp().const) == np.exp(x)
-        assert float(jx.sin().const) == np.sin(x)
-        assert float(jx.cos().const) == np.cos(x)
 
 
 class TestDirectionalDerivatives:
@@ -259,3 +230,10 @@ class TestEvalCommutesWithTruncation:
         hi = model.eval(x3)
         lo = model.eval(x1)
         np.testing.assert_allclose(hi.coeffs[..., :2], lo.coeffs, atol=1e-14)
+
+
+class TestDocs:
+    def test_readme_names_only_existing_helpers(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        names = set(re.findall(r"`jets\.(\w+)", readme))
+        assert names and [n for n in sorted(names) if not hasattr(jets, n)] == []

@@ -27,7 +27,7 @@ class TestConstruction:
     def test_projectors_idempotent(self):
         model = gallery_map("whitney", {"k": 2, "dimZ": 1}).model
         ls = local_representation(model, np.zeros(3))
-        c, w, Q = ls.kernel_vec, ls.left_null_vec, ls.range_basis
+        c, w, Q = ls.kernel_vec, ls.left_null_vec, ls.z_rows[1:].T
         p, pi = np.outer(c, c), Q @ Q.T
         np.testing.assert_allclose(p @ p, p, atol=1e-10)
         np.testing.assert_allclose(pi @ pi, pi, atol=1e-10)
@@ -43,7 +43,7 @@ class TestConstruction:
             model = gallery_map(name, params).model
             ls = local_representation(model, np.zeros(n))
             A = jets.jacobian(model, np.zeros(n))
-            alpha_prime = np.vstack([ls.kernel_vec[None, :], ls.range_basis.T @ A])
+            alpha_prime = np.vstack([ls.kernel_vec[None, :], ls.z_rows[1:] @ A])
             assert ls.cond_alpha == pytest.approx(np.linalg.cond(alpha_prime), rel=1e-12)
 
     def test_base_value_and_gradient_vanish(self):
