@@ -160,9 +160,7 @@ class Jet:
         return self._compose_series([e / math.factorial(i) for i in range(sum(self.orders) + 1)])
 
     def powi(self, n: int) -> "Jet":
-        if n != int(n) or n < 0:
-            raise ValueError("powi requires a non-negative integer exponent")
-        n = int(n)
+        n = _exponent(n)
         result = None
         base = self
         while n > 0:
@@ -258,10 +256,16 @@ def exp(x):
     return x.exp() if isinstance(x, Jet) else np.exp(x)
 
 
+def _exponent(n) -> int:
+    if n != int(n) or n < 0:
+        raise ValueError("powi requires a non-negative integer exponent")
+    return int(n)
+
+
 def powi(x, n: int):
     if isinstance(x, Jet):
         return x.powi(n)
-    return np.asarray(x, dtype=float) ** int(n)
+    return np.asarray(x, dtype=float) ** _exponent(n)
 
 
 def comp(x, i: int):

@@ -111,15 +111,35 @@ def border_factor(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = DEFA
     return lu_factor(M0)
 
 
+def solve_passes(lu_piv, R: Jet, nil_apply, trans: int = 0) -> Jet:
+    """Solution X of (M0 + N) X = R, or with ``trans=1`` of the transposed
+    system, for a jet R: ``lu_piv`` factors the constant matrix M0 and
+    ``nil_apply(X)`` gives the coefficients of N X (of N^T X with ``trans=1``)
+    for a nilpotent N, as a new array of the solution's shape that the pass
+    overwrites.  Each pass X <- M0^{-1} (R - N X) fixes one more total
+    degree, so ``sum(orders)`` passes give the exact truncated solution."""
+    X = lu_solve_jet(lu_piv, R, trans=trans)
+    for _ in range(sum(R.orders)):
+        NX = nil_apply(X)
+        X = lu_solve_jet(lu_piv, Jet(R.vars, R.orders, np.subtract(R.coeffs, NX, out=NX)), trans=trans)
+    return X
+
+
+def nilpotent_part(A: Jet, trans: int = 0) -> Jet:
+    """A jet matrix minus its constant term, transposed with ``trans=1``."""
+    nil = A.coeffs.copy()
+    nil[(Ellipsis, *(0,) * A.njet)] = 0.0
+    N = Jet(A.vars, A.orders, nil)
+    return jets.transpose_mat(N) if trans else N
+
+
 def bordered_solve(A, b, c, rhs, tol: float = DEFAULT_RANK_TOL, lu_piv=None, trans: int = 0):
     """Solution (x, s) of [[A, b], [c^T, 0]] (x, s) = rhs, or with ``trans=1``
     of the transposed system [[A^T, c], [b^T, 0]] (x, s) = rhs.
 
     ``rhs`` is plain.  A jet-valued ``A`` (batch axes allowed) gives jet
-    solutions: only A carries jet terms, so with M0 the constant-term bordered
-    matrix and N the nilpotent part of A, the passes
-    (x, s) <- M0^{-1} (rhs - (N x, 0)) fix one more total degree each and
-    ``sum(orders)`` of them give the exact truncated solution.  Pass
+    solutions by ``solve_passes``: only A carries jet terms, so the nilpotent
+    part acts as (N x, 0) on top of the constant-term bordered matrix.  Pass
     ``lu_piv`` (``border_factor`` of A's constant term) to reuse one
     factorization across many solves; a batched A needs it.
     """
@@ -131,16 +151,15 @@ def bordered_solve(A, b, c, rhs, tol: float = DEFAULT_RANK_TOL, lu_piv=None, tra
     if not isinstance(A, Jet):
         sol = lu_solve(lu_piv, R, trans=trans)
         return sol[:n], float(sol[n])
-    vnd, nj = A.value_ndim, A.njet
-    nil = A.coeffs.copy()
-    nil[(Ellipsis, *(0,) * nj)] = 0.0
-    N = Jet(A.vars, A.orders, np.swapaxes(nil, vnd - 2, vnd - 1) if trans else nil)
-    head = (Ellipsis, slice(0, n)) + (slice(None),) * nj
+    N = nilpotent_part(A, trans)
+    head = (Ellipsis, slice(0, n)) + (slice(None),) * A.njet
     R = jets.constant(R, A.vars, A.orders)
-    X = lu_solve_jet(lu_piv, R, trans=trans)
-    for _ in range(sum(A.orders)):
+
+    def nil_apply(X):
         Nx = jets.matvec(N, Jet(X.vars, X.orders, X.coeffs[head]))
-        resid = np.broadcast_to(R.coeffs, Nx.value_shape[:-1] + R.coeffs.shape).copy()
-        resid[head] -= Nx.coeffs
-        X = lu_solve_jet(lu_piv, Jet(X.vars, X.orders, resid), trans=trans)
+        out = np.zeros(Nx.value_shape[:-1] + R.coeffs.shape)
+        out[head] = Nx.coeffs
+        return out
+
+    X = solve_passes(lu_piv, R, nil_apply, trans)
     return Jet(X.vars, X.orders, X.coeffs[head]), X[n]

@@ -76,30 +76,22 @@ class LSModel:
         requested z coordinate direction (directions are batched)."""
         if t_order + (1 if z_dirs else 0) > self.model.d:
             raise OrderExceedsSmoothness("requested jet order exceeds declared smoothness")
-        key = (t_order, tuple(z_dirs))
+        return self._inverse(t_order, tuple(z_dirs))[1]
+
+    def _inverse(self, t_order: int, z_dirs: tuple[int, ...] = ()) -> tuple[Jet, Jet]:
+        """x = alpha^{-1}(y) and f(x) for y = t e_0 + z e_{1+j}, batched over
+        the j in ``z_dirs``; cached, so J and row share the t-only inverse."""
+        key = (t_order, z_dirs)
         if key in self._cache:
             return self._cache[key]
-        n = self.n
-        tname = jets.fresh_name("t")
-        names = (tname,)
-        orders = (t_order,)
+        names = (jets.fresh_name("t"),) + ((jets.fresh_name("z"),) if z_dirs else ())
+        orders = (t_order, 1)[: len(names)]
+        y = jets.unit(names, orders, names[0]) * np.eye(1, self.n)[0]
         if z_dirs:
-            zname = jets.fresh_name("z")
-            names = (tname, zname)
-            orders = (t_order, 1)
-        tpart = np.zeros(n)
-        tpart[0] = 1.0
-        y = jets.constant(np.zeros((len(z_dirs), n)) if z_dirs else np.zeros(n), names, orders)
-        y = y + jets.unit(names, orders, tname) * tpart
-        if z_dirs:
-            zmat = np.zeros((len(z_dirs), n))
-            for row, j in enumerate(z_dirs):
-                zmat[row, 1 + j] = 1.0
-            y = y + jets.unit(names, orders, zname) * zmat
+            y = y + jets.unit(names, orders, names[1]) * np.eye(self.n)[[1 + j for j in z_dirs]]
         x = self.alpha_inverse_jet(y)
-        out = self.f_value(x)
-        self._cache[key] = out
-        return out
+        self._cache[key] = (x, self.f_value(x))
+        return self._cache[key]
 
     def f_partial_t(self, order: int) -> float:
         """d^order f / dt^order at (0,0)."""
@@ -114,13 +106,22 @@ class LSModel:
         return self.f_partial_t(k + 1)
 
     def row(self, k: int) -> np.ndarray:
-        """I_k = (d^{k+1} f / dt^{k+1}, d^{k+1} f / dt^k dz) at (0, 0)."""
+        """I_k = (d^{k+1} f / dt^{k+1}, d^{k+1} f / dt^k dz) at (0, 0).
+
+        The z-part is one adjoint solve along x(t) = alpha^{-1}(t e_0): the
+        gradient lam(t) of f in y = alpha(x) solves alpha'(x)^T lam = F'(x)^T w,
+        with alpha'(x)^T lam = c lam_0 + F'(x)^T z_rows^T lam, and z_j = y_{1+j}.
+        """
         out = np.zeros(self.n)
         out[0] = self.J(k)
         if self.n > 1:
-            j = self.f_jet(k, tuple(range(self.n - 1)))
-            tname, zname = j.vars
-            out[1:] = np.asarray(j.extract({tname: k, zname: 1})) * math.factorial(k)
+            x = self._inverse(k)[0]
+            Fp = jets.jacobian(self.model, x)
+            rhs = Jet(x.vars, x.orders, np.tensordot(self.left_null_vec, Fp.coeffs, axes=(0, 0)))
+            N, Z = linalg.nilpotent_part(Fp, trans=1), self.z_rows.T
+            lam = linalg.solve_passes(
+                self.alpha_lu, rhs, lambda L: jets.matvec(N, jets.matvec(Z, L)).coeffs, trans=1)
+            out[1:] = lam.extract({x.vars[0]: k})[1:] * math.factorial(k)
         return out
 
 

@@ -238,3 +238,23 @@ class TestQuarticProblem:
         pf = PointFunctionals(model, pair, np.zeros(64))
         stack = np.vstack([pf.row(1), pf.row(2), pf.row(3)])
         assert rank_decision(stack).rank == 2
+
+
+class TestLargeGridLsRoute:
+    """The ls route at N = 1024, where each row is one adjoint solve.  The
+    p = 1 verdict is not asserted: the absolute zero test still leaves
+    J_3 = 24 N^-1.5 inside its tolerance band at this size."""
+
+    N = 1024
+
+    def classify(self, p):
+        model = make_periodic_bvp(PeriodicProblem(N=self.N, a_terms=A_SIN, p_terms=((0, p, 0.0),)))
+        return classify_point(model, np.zeros(self.N), route="ls")
+
+    def test_degenerate_case_is_maximal_two_transverse(self):
+        c = self.classify(0.0)
+        assert (c.kind, c.k) == ("MaximalKTransverse", 2)
+
+    def test_j3_matches_closed_form(self):
+        ev = self.classify(1.0).evidence.routes[0]
+        assert ev.J_values[3] == pytest.approx(24.0 * self.N**-1.5, rel=1e-9)

@@ -37,6 +37,16 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             jet1([2.0, 1.0]).powi(-1)
 
+    @pytest.mark.parametrize("n", [-1, 1.5])
+    @pytest.mark.parametrize("x", [np.array([2.0]), jet1([2.0, 1.0])], ids=["plain", "jet"])
+    def test_dispatcher_rejects_bad_exponents(self, x, n):
+        with pytest.raises(ValueError):
+            jets.powi(x, n)
+
+    def test_dispatcher_takes_integral_floats(self):
+        np.testing.assert_array_equal(jets.powi(np.array([2.0]), 3.0), [8.0])
+        np.testing.assert_array_equal(jets.powi(np.array([2.0]), 0), [1.0])
+
     @given(
         a=st.lists(finite, min_size=3, max_size=3),
         b=st.lists(finite, min_size=3, max_size=3),

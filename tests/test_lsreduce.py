@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from singclass import jets
+from singclass.bvp import PeriodicProblem, make_periodic_bvp
 from singclass.classify import classify_point
 from singclass.errors import NotSimple
 from singclass.gallery import gallery_map
 from singclass.lsreduce import local_representation
+from singclass.model import conjugate, random_affine_pair
 
 
 def gradient_norm(ls):
@@ -147,6 +151,40 @@ class TestCanonicalFunctionals:
         model = gallery_map("transverse_k", {"k": 1}).model
         ls = local_representation(model, np.zeros(2))
         np.testing.assert_allclose(np.abs(ls.row(1)), [0.0, 1.0], atol=1e-10)
+
+
+def _conjugated_gallery_map():
+    model = gallery_map("family_kn", {"k": 2, "n": 3}).model
+    pair = random_affine_pair(model.n, np.random.default_rng(11))
+    return conjugate(model, pair), pair.apply_gamma(np.zeros(model.n))
+
+
+def _quartic_bvp():
+    problem = PeriodicProblem(N=64, a_terms=((1, 0.0, 1.0),), p_terms=((0, 1.0, 0.0),))
+    return make_periodic_bvp(problem), np.zeros(64)
+
+
+ADJOINT_ROW_MAPS = {
+    "whitney": lambda: (gallery_map("whitney", {"k": 3, "dimZ": 2}).model, np.zeros(5)),
+    "family_kn": lambda: (gallery_map("family_kn", {"k": 2, "n": 5}).model, np.zeros(4)),
+    "l2_truncated": lambda: (gallery_map("l2_truncated", {"N": 4}).model, np.zeros(5)),
+    "conjugated": _conjugated_gallery_map,
+    "quartic_bvp": _quartic_bvp,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADJOINT_ROW_MAPS))
+def test_adjoint_rows_match_batched_z_directions(name):
+    """row(k)'s z-part comes from one adjoint solve; the oracle pushes every
+    z direction through the inverse jet of alpha at once."""
+    model, u0 = ADJOINT_ROW_MAPS[name]()
+    ls = local_representation(model, u0)
+    for k in (1, 2, 3):
+        row = ls.row(k)
+        batched = ls.f_jet(k, tuple(range(ls.n - 1)))
+        tname, zname = batched.vars
+        want = np.asarray(batched.extract({tname: k, zname: 1})) * math.factorial(k)
+        assert np.max(np.abs(row[1:] - want)) <= 1e-12 * np.max(np.abs(row))
 
 
 class TestConditions:
