@@ -134,8 +134,6 @@ def make_periodic_bvp(problem: PeriodicProblem) -> MapModel:
     def ev(x):
         return jets.matvec(D, x) + g_of(x)
 
-    idx = np.arange(N)
-
     def jac(x):
         # g acts on each component alone, so g'(x) is the first-order
         # coefficient of g(x + s*1) in one new variable s
@@ -144,13 +142,7 @@ def make_periodic_bvp(problem: PeriodicProblem) -> MapModel:
             xs = x.extend(x.vars + (s,), x.orders + (1,))
         else:
             xs = jets.constant(x, (s,), (1,))
-        dg = g_of(xs + jets.unit(xs.vars, xs.orders, s)).extract({s: 1})
-        is_jet = isinstance(dg, jets.Jet)
-        c, nj = (dg.coeffs, dg.njet) if is_jet else (dg, 0)
-        out = np.zeros(c.shape[: c.ndim - nj] + (N,) + c.shape[c.ndim - nj :])
-        out[(Ellipsis, slice(None), slice(None)) + (0,) * nj] = D
-        out[(Ellipsis, idx, idx) + (slice(None),) * nj] += c
-        return jets.Jet(dg.vars, dg.orders, out) if is_jet else out
+        return jets.add_diag(D, g_of(xs + jets.unit(xs.vars, xs.orders, s)).extract({s: 1}))
 
     label = f"bvp({kind},N={N},{problem.scheme})"
     meta = {"grid": t, "D": D, "a": a, "p": p, "N": N, "scheme": problem.scheme}

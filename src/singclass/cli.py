@@ -418,9 +418,21 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_point(argv: list[str]) -> list[str]:
+    """``--point VALUE`` as ``--point=VALUE``, which argparse reads even when
+    VALUE starts with a minus sign, as in ``-1.1,0.0``."""
+    out = []
+    for arg in argv:
+        if out[-1:] == ["--point"]:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = make_parser().parse_args(argv)
+        args = make_parser().parse_args(_join_point(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; 2 means indeterminate here
         return EXIT_OK if exc.code == 0 else EXIT_ERROR

@@ -64,6 +64,12 @@ def _check(cond: bool, msg: str):
         raise ParamOutOfRange(msg)
 
 
+def _int_param(params: dict, key: str, default) -> int:
+    value = params.get(key, default)
+    _check(float(value).is_integer(), f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _origin(n: int) -> tuple[tuple[float, ...], ...]:
     return (tuple(0.0 for _ in range(n)),)
 
@@ -72,8 +78,9 @@ def gallery_map(name: str, params: dict | None = None) -> GalleryEntry:
     """Construct a gallery entry by name.
 
     Names: fold_t2, cusp_source_t3, transverse_k, family_kn, whitney,
-    l2_truncated, eps_perturbed.  Parameter ranges: k <= 8, exponent n <= 12,
-    dimZ >= 0, total dimension <= 32.
+    l2_truncated, eps_perturbed.  Parameters k, N, n and dimZ are integers
+    (integral floats pass) with k <= 8, exponent n <= 12, dimZ >= 0 and total
+    dimension <= 32.
     """
     params = dict(params or {})
     if name == "fold_t2":
@@ -103,8 +110,8 @@ def gallery_map(name: str, params: dict | None = None) -> GalleryEntry:
         return GalleryEntry(name, {}, model, expected)
 
     if name in ("transverse_k", "l2_truncated"):
-        k = int(params.get("k", params.get("N", 2)))
-        dimz = int(params.get("dimZ", 0))
+        k = _int_param(params, "k", _int_param(params, "N", 2))
+        dimz = _int_param(params, "dimZ", 0)
         _check(1 <= k <= 8, "k must be in 1..8")
         _check(dimz >= 0, "dimZ must be >= 0")
         n = k + 1 + dimz
@@ -124,9 +131,9 @@ def gallery_map(name: str, params: dict | None = None) -> GalleryEntry:
         return GalleryEntry(name, {key: k, "dimZ": dimz}, model, expected)
 
     if name == "family_kn":
-        k = int(params.get("k", 1))
-        n_exp = int(params.get("n", 0))
-        dimz = int(params.get("dimZ", 1))
+        k = _int_param(params, "k", 1)
+        n_exp = _int_param(params, "n", 0)
+        dimz = _int_param(params, "dimZ", 1)
         _check(0 <= k <= 8, "k must be in 0..8")
         _check(0 <= n_exp <= 12, "n must be in 0..12")
         _check(dimz >= 0, "dimZ must be >= 0")
@@ -138,8 +145,8 @@ def gallery_map(name: str, params: dict | None = None) -> GalleryEntry:
         return GalleryEntry(name, {"k": k, "n": n_exp, "dimZ": dimz}, model, expected)
 
     if name == "whitney":
-        k = int(params.get("k", 1))
-        dimz = int(params.get("dimZ", 0))
+        k = _int_param(params, "k", 1)
+        dimz = _int_param(params, "dimZ", 0)
         _check(1 <= k <= 8, "k must be in 1..8")
         _check(dimz >= 0, "dimZ must be >= 0")
         n = k + dimz

@@ -117,19 +117,12 @@ class Jet:
         if not isinstance(other, Jet):
             return self._scale(np.asarray(other, dtype=float))
         self._require_ctx(other)
-        nv = self.njet
-        if nv == 0:
+        if self.njet == 0:
             return Jet(self.vars, self.orders, self.coeffs * other.coeffs)
         vs = np.broadcast_shapes(self.value_shape, other.value_shape)
-        out = np.zeros(vs + self.jet_shape)
-        a, b = self.coeffs, other.coeffs
-        for mu in np.ndindex(*self.jet_shape):
-            bmu = b[(Ellipsis, *mu)]
-            if not bmu.any():
-                continue
-            out_sl = (Ellipsis, *(slice(m, o + 1) for m, o in zip(mu, self.orders)))
-            a_sl = (Ellipsis, *(slice(0, o + 1 - m) for m, o in zip(mu, self.orders)))
-            out[out_sl] += a[a_sl] * bmu[(Ellipsis, *(None,) * nv)]
+        spread = (Ellipsis, *(None,) * self.njet)
+        out = _truncated_product(other.coeffs, self.coeffs, self.orders, vs,
+                                 lambda block, a: a * block[spread])
         return Jet(self.vars, self.orders, out)
 
     def __rmul__(self, other):
@@ -144,16 +137,18 @@ class Jet:
         constant term, so the series terminates at i = sum(orders).
         """
         if len(derivs) == 1:
-            out = np.zeros(self.value_shape + self.jet_shape)
-            out[(Ellipsis, *(0,) * self.njet)] = derivs[0]
-            return Jet(self.vars, self.orders, out)
-        nil_c = self.coeffs.copy()
-        nil_c[(Ellipsis, *(0,) * self.njet)] = 0.0
-        nil = Jet(self.vars, self.orders, nil_c)
+            return constant(derivs[0], self.vars, self.orders)
+        nil = self.nilpotent()
         acc = nil * derivs[-1] + derivs[-2]
         for d in derivs[-3::-1]:
             acc = acc * nil + d
         return acc
+
+    def nilpotent(self) -> "Jet":
+        """The jet minus its constant term."""
+        nil = self.coeffs.copy()
+        nil[(Ellipsis, *(0,) * self.njet)] = 0.0
+        return Jet(self.vars, self.orders, nil)
 
     def exp(self) -> "Jet":
         e = np.exp(self.const)
@@ -175,13 +170,28 @@ class Jet:
 
     # -- value-axis helpers --------------------------------------------------
 
-    def component(self, i: int) -> "Jet":
-        """Index the last value axis (the vector-component axis)."""
+    def component(self, i: "int | slice") -> "Jet":
+        """Index or slice the last value axis (the vector-component axis)."""
         if self.value_ndim == 0:
             raise IndexError("scalar jet has no components")
-        return Jet(self.vars, self.orders, np.take(self.coeffs, i, axis=self.value_ndim - 1))
+        return Jet(self.vars, self.orders, self.coeffs[(Ellipsis, i) + (slice(None),) * self.njet])
 
     __getitem__ = component
+
+    def append_zero(self) -> "Jet":
+        """The jet with one zero component appended to the last value axis."""
+        m = self.value_shape[-1]
+        out = np.zeros(self.value_shape[:-1] + (m + 1,) + self.jet_shape)
+        out[(Ellipsis, slice(0, m)) + (slice(None),) * self.njet] = self.coeffs
+        return Jet(self.vars, self.orders, out)
+
+    def map_components(self, fn) -> "Jet":
+        """Apply a linear map along the component axis: ``fn`` maps the (m, K)
+        coefficients, one row per component, to the (m', K) image."""
+        moved = np.moveaxis(self.coeffs, self.value_ndim - 1, 0)
+        out = fn(moved.reshape(moved.shape[0], -1))
+        out = out.reshape(out.shape[:1] + moved.shape[1:])
+        return Jet(self.vars, self.orders, np.moveaxis(out, 0, self.value_ndim - 1))
 
     def vsum(self) -> "Jet":
         """Sum over the last value axis."""
@@ -237,6 +247,18 @@ def constant(value, variables: Sequence[str] = (), orders: Sequence[int] = ()) -
     return Jet(variables, orders, out)
 
 
+def add_diag(A, d) -> "Jet | np.ndarray":
+    """The (jet) matrix A + diag(d) for a plain square A and a (jet) vector d
+    (batch axes allowed), filled into one array: A is the constant term."""
+    c, nj = (d.coeffs, d.njet) if isinstance(d, Jet) else (np.asarray(d, dtype=float), 0)
+    vnd = c.ndim - nj
+    out = np.zeros(c.shape[:vnd] + c.shape[vnd - 1 :])  # a second component axis
+    out[(Ellipsis, slice(None), slice(None)) + (0,) * nj] = A
+    idx = np.arange(c.shape[vnd - 1])
+    out[(Ellipsis, idx, idx) + (slice(None),) * nj] += c
+    return Jet(d.vars, d.orders, out) if isinstance(d, Jet) else out
+
+
 def unit(variables: Sequence[str], orders: Sequence[int], name: str) -> Jet:
     """The scalar jet of one variable inside a larger context."""
     variables = tuple(variables)
@@ -280,55 +302,54 @@ def stack(parts: Sequence) -> "Jet | np.ndarray":
     jet = next((p for p in parts if isinstance(p, Jet)), None)
     if jet is None:
         return np.stack([np.asarray(p, dtype=float) for p in parts], axis=-1)
-    promoted = []
-    for p in parts:
-        if isinstance(p, Jet):
-            jet._require_ctx(p)
-            promoted.append(p)
-        else:
-            promoted.append(constant(np.asarray(p, dtype=float), jet.vars, jet.orders))
+    promoted = [p if isinstance(p, Jet) else constant(p, jet.vars, jet.orders) for p in parts]
+    for p in promoted:
+        jet._require_ctx(p)
     vs = np.broadcast_shapes(*(p.value_shape for p in promoted))
     arrs = [np.broadcast_to(p.coeffs, vs + jet.jet_shape) for p in promoted]
     return Jet(jet.vars, jet.orders, np.stack(arrs, axis=len(vs)))
 
 
-def _matvec_jet_mat(M: Jet, x: Jet) -> Jet:
-    """Product of a jet-valued matrix with a jet-valued vector: the truncated
-    convolution of ``Jet.__mul__`` with a matrix product per degree of M."""
-    M._require_ctx(x)
-    vndm = M.value_ndim
-    orders = M.orders
-    vs = np.broadcast_shapes(M.value_shape[:-2], x.value_shape[:-1])
-    m = M.coeffs.shape[vndm - 2]
-    out = np.zeros(vs + (m,) + M.jet_shape)
-    xc = x.coeffs
-    for mu in np.ndindex(*M.jet_shape):
-        Mmu = M.coeffs[(Ellipsis, *mu)]
-        if not Mmu.any():
+def _truncated_product(lead: np.ndarray, rest: np.ndarray, orders, value_shape, term) -> np.ndarray:
+    """Coefficients of the truncated product of two jets: for each degree mu
+    with a nonzero block of ``lead``, ``term(block, coefficients of rest up
+    to degree orders - mu)`` is added at degrees mu .. orders."""
+    shape = tuple(o + 1 for o in orders)
+    out = np.zeros(value_shape + shape)
+    for mu in np.ndindex(*shape):
+        block = lead[(Ellipsis, *mu)]
+        if not block.any():
             continue
-        xs = xc[(Ellipsis,) + tuple(slice(0, o + 1 - k) for k, o in zip(mu, orders))]
-        sub_shape = xs.shape[x.value_ndim:]
-        flat = xs.reshape(xs.shape[: x.value_ndim] + (int(np.prod(sub_shape, dtype=int)),))
-        prod = np.matmul(Mmu, flat)
-        prod = prod.reshape(prod.shape[:-1] + sub_shape)
-        out_sl = (Ellipsis, slice(None)) + tuple(slice(k, o + 1) for k, o in zip(mu, orders))
-        out[out_sl] += prod
-    return Jet(M.vars, M.orders, out)
+        high = (Ellipsis, *(slice(m, o + 1) for m, o in zip(mu, orders)))
+        low = (Ellipsis, *(slice(0, o + 1 - m) for m, o in zip(mu, orders)))
+        out[high] += term(block, rest[low])
+    return out
 
 
 def matvec(A, x):
     """Product of a plain matrix with a (jet) vector, or of a jet matrix with
-    a jet vector, along the component axis."""
+    a jet vector or a plain vector without batch axes, along the component
+    axis."""
     if isinstance(A, Jet):
-        return _matvec_jet_mat(A, x)
+        if not isinstance(x, Jet):  # one product per coefficient of A
+            x = np.asarray(x, dtype=float)
+            return Jet(A.vars, A.orders, np.tensordot(x, A.coeffs, axes=(0, A.value_ndim - 1)))
+        A._require_ctx(x)
+        vs = np.broadcast_shapes(A.value_shape[:-2], x.value_shape[:-1]) + A.value_shape[-2:-1]
+        out = _truncated_product(A.coeffs, x.coeffs, A.orders, vs,
+                                 lambda block, xs: _matmul_coeffs(block, xs, x.value_ndim))
+        return Jet(A.vars, A.orders, out)
     A = np.asarray(A, dtype=float)
     if not isinstance(x, Jet):
         return np.einsum("ij,...j->...i", A, np.asarray(x, dtype=float))
-    vnd = x.value_ndim
-    jshape = x.jet_shape
-    c = x.coeffs.reshape(x.value_shape + (int(np.prod(jshape, dtype=int)),))
-    out = np.matmul(A, c)
-    return Jet(x.vars, x.orders, out.reshape(out.shape[:vnd] + jshape))
+    return Jet(x.vars, x.orders, _matmul_coeffs(A, x.coeffs, x.value_ndim))
+
+
+def _matmul_coeffs(A: np.ndarray, c: np.ndarray, vnd: int) -> np.ndarray:
+    """Matrix (stack) A times every coefficient of the vectors in c (vnd value axes)."""
+    sub = c.shape[vnd:]
+    out = np.matmul(A, c.reshape(c.shape[:vnd] + (math.prod(sub),)))
+    return out.reshape(out.shape[:-1] + sub)
 
 
 def dot(v: np.ndarray, x):
@@ -373,10 +394,7 @@ def jacobian(model, x) -> "Jet | np.ndarray":
     probe = unit(base.vars, base.orders, pv)
     X = base + probe * np.eye(n)
     Y = model.eval(X)
-    jac = Y.extract({pv: 1})
-    if isinstance(jac, Jet):
-        return transpose_mat(jac)
-    return np.swapaxes(jac, -2, -1)
+    return transpose_mat(Y.extract({pv: 1}))
 
 
 def directional_derivatives(model, u, v, m: int) -> list[np.ndarray]:

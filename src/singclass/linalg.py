@@ -88,12 +88,7 @@ def linearize(model, u, tol: float = DEFAULT_RANK_TOL) -> Linearization:
 
 def lu_solve_jet(lu_piv, r: Jet, trans: int = 0) -> Jet:
     """Apply a factored constant matrix inverse coefficient-wise."""
-    vnd = r.value_ndim
-    m = r.coeffs.shape[vnd - 1]
-    moved = np.moveaxis(r.coeffs, vnd - 1, 0).reshape(m, -1)
-    sol = lu_solve(lu_piv, moved, trans=trans)
-    sol = np.moveaxis(sol.reshape((m,) + r.coeffs.shape[:vnd - 1] + r.jet_shape), 0, vnd - 1)
-    return Jet(r.vars, r.orders, sol)
+    return r.map_components(lambda cols: lu_solve(lu_piv, cols, trans=trans))
 
 
 def border_factor(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = DEFAULT_RANK_TOL):
@@ -114,23 +109,13 @@ def border_factor(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = DEFA
 def solve_passes(lu_piv, R: Jet, nil_apply, trans: int = 0) -> Jet:
     """Solution X of (M0 + N) X = R, or with ``trans=1`` of the transposed
     system, for a jet R: ``lu_piv`` factors the constant matrix M0 and
-    ``nil_apply(X)`` gives the coefficients of N X (of N^T X with ``trans=1``)
-    for a nilpotent N, as a new array of the solution's shape that the pass
-    overwrites.  Each pass X <- M0^{-1} (R - N X) fixes one more total
-    degree, so ``sum(orders)`` passes give the exact truncated solution."""
+    ``nil_apply(X)`` is the jet N X (N^T X with ``trans=1``) for a nilpotent
+    N.  Each pass X <- M0^{-1} (R - N X) fixes one more total degree, so
+    ``sum(orders)`` passes give the exact truncated solution."""
     X = lu_solve_jet(lu_piv, R, trans=trans)
     for _ in range(sum(R.orders)):
-        NX = nil_apply(X)
-        X = lu_solve_jet(lu_piv, Jet(R.vars, R.orders, np.subtract(R.coeffs, NX, out=NX)), trans=trans)
+        X = lu_solve_jet(lu_piv, R - nil_apply(X), trans=trans)
     return X
-
-
-def nilpotent_part(A: Jet, trans: int = 0) -> Jet:
-    """A jet matrix minus its constant term, transposed with ``trans=1``."""
-    nil = A.coeffs.copy()
-    nil[(Ellipsis, *(0,) * A.njet)] = 0.0
-    N = Jet(A.vars, A.orders, nil)
-    return jets.transpose_mat(N) if trans else N
 
 
 def bordered_solve(A, b, c, rhs, tol: float = DEFAULT_RANK_TOL, lu_piv=None, trans: int = 0):
@@ -151,15 +136,7 @@ def bordered_solve(A, b, c, rhs, tol: float = DEFAULT_RANK_TOL, lu_piv=None, tra
     if not isinstance(A, Jet):
         sol = lu_solve(lu_piv, R, trans=trans)
         return sol[:n], float(sol[n])
-    N = nilpotent_part(A, trans)
-    head = (Ellipsis, slice(0, n)) + (slice(None),) * A.njet
+    N = jets.transpose_mat(A.nilpotent()) if trans else A.nilpotent()
     R = jets.constant(R, A.vars, A.orders)
-
-    def nil_apply(X):
-        Nx = jets.matvec(N, Jet(X.vars, X.orders, X.coeffs[head]))
-        out = np.zeros(Nx.value_shape[:-1] + R.coeffs.shape)
-        out[head] = Nx.coeffs
-        return out
-
-    X = solve_passes(lu_piv, R, nil_apply, trans)
-    return Jet(X.vars, X.orders, X.coeffs[head]), X[n]
+    X = solve_passes(lu_piv, R, lambda X: jets.matvec(N, X[:n]).append_zero(), trans)
+    return X[:n], X[n]

@@ -117,10 +117,10 @@ class LSModel:
         if self.n > 1:
             x = self._inverse(k)[0]
             Fp = jets.jacobian(self.model, x)
-            rhs = Jet(x.vars, x.orders, np.tensordot(self.left_null_vec, Fp.coeffs, axes=(0, 0)))
-            N, Z = linalg.nilpotent_part(Fp, trans=1), self.z_rows.T
+            rhs = jets.matvec(jets.transpose_mat(Fp), self.left_null_vec)
+            N, Z = jets.transpose_mat(Fp.nilpotent()), self.z_rows.T
             lam = linalg.solve_passes(
-                self.alpha_lu, rhs, lambda L: jets.matvec(N, jets.matvec(Z, L)).coeffs, trans=1)
+                self.alpha_lu, rhs, lambda L: jets.matvec(N, jets.matvec(Z, L)), trans=1)
             out[1:] = lam.extract({x.vars[0]: k})[1:] * math.factorial(k)
         return out
 

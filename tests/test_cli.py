@@ -261,6 +261,30 @@ class TestScenarioReports:
         assert data["stratification.dichotomy_consistent"] is True
 
 
+
+class TestPointFlag:
+    POINT = ["classify", "--gallery", "eps_perturbed"]
+
+    def test_negative_point_spaced_and_joined(self, tmp_path):
+        spaced, joined = tmp_path / "spaced.txt", tmp_path / "joined.txt"
+        assert run(self.POINT + ["--point", "-1.1,0.0", "--out", str(spaced)]) == 0
+        assert run(self.POINT + ["--point=-1.1,0.0", "--out", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+        data = parse(spaced.read_text())
+        assert data["point"] == [-1.1, 0.0]
+        assert data["result.kind"] == "MaximalKTransverse"
+
+    @pytest.mark.parametrize("command", ["verify", "strata", "bvp", "gallery"])
+    def test_negative_point_reaches_every_subcommand(self, command):
+        from singclass.cli import _join_point, make_parser
+
+        args = make_parser().parse_args(_join_point([command, "--point", "-0.5,2"]))
+        assert args.point == [-0.5, 2.0]
+
+    def test_non_integral_gallery_parameter_exits_one(self, capsys):
+        assert run(["classify", "--gallery", "whitney", "--param", "k=2.5", "--point", "0,0"]) == 1
+        assert "k must be an integer" in capsys.readouterr().err
+
 class TestUsageErrors:
     def test_bad_flag_exits_one(self):
         assert run(["classify", "--made-up-flag"]) == 1

@@ -19,6 +19,24 @@ def test_param_ranges():
         gallery_map("transverse_k", {"k": 8, "dimZ": 40})
 
 
+
+@pytest.mark.parametrize("name, params", [
+    ("whitney", {"k": 2.5}),
+    ("whitney", {"k": 2, "dimZ": 0.5}),
+    ("transverse_k", {"k": 1.5}),
+    ("l2_truncated", {"N": 2.2}),
+    ("family_kn", {"k": 2, "n": 3.5}),
+])
+def test_integer_params_must_be_integral(name, params):
+    with pytest.raises(ParamOutOfRange):
+        gallery_map(name, params)
+
+
+def test_integral_float_params_are_accepted():
+    entry = gallery_map("whitney", {"k": 2.0, "dimZ": 1.0})
+    assert entry.params == {"k": 2, "dimZ": 1}
+    assert entry.model.label == "whitney(k=2,dimZ=1)"
+
 def test_expected_fixtures_have_points_and_notes():
     for entry in default_entries():
         assert entry.expected

@@ -82,6 +82,86 @@ class TestArithmetic:
         assert sq.coeffs[0, 1] == pytest.approx(0.0)
 
 
+
+class TestJetLayout:
+    """The one truncated-product loop and the component-axis helpers."""
+
+    ORDERS = (2, 1, 3)
+
+    def random_jet(self, rng, value_shape, zero_blocks=()):
+        c = rng.standard_normal(tuple(value_shape) + tuple(o + 1 for o in self.ORDERS))
+        for mu in zero_blocks:
+            c[(Ellipsis, *mu)] = 0.0
+        return Jet(("a", "b", "c"), self.ORDERS, c)
+
+    def test_jet_matrix_matvec_matches_reference_convolution(self):
+        rng = np.random.default_rng(5)
+        # batch axes (2,) against (1,); all-zero blocks at the constant term,
+        # a mixed degree and the top degree
+        M = self.random_jet(rng, (2, 3, 4), zero_blocks=[(0, 0, 0), (1, 0, 2), (2, 1, 3)])
+        x = self.random_jet(rng, (1, 4), zero_blocks=[(0, 1, 0)])
+        got = jets.matvec(M, x).coeffs
+        assert got.shape == (2, 3) + M.coeffs.shape[3:]
+        for b in range(2):
+            for i in range(3):
+                want = sum(reference_truncated_convolution(M.coeffs[b, i, j], x.coeffs[0, j],
+                                                           self.ORDERS) for j in range(4))
+                np.testing.assert_allclose(got[b, i], want, rtol=1e-13, atol=1e-13)
+
+    def test_jet_matrix_times_plain_vector(self):
+        rng = np.random.default_rng(6)
+        M = self.random_jet(rng, (2, 3, 4))
+        w = rng.standard_normal(4)
+        want = jets.matvec(M, constant(w, M.vars, M.orders)).coeffs
+        np.testing.assert_allclose(jets.matvec(M, w).coeffs, want, rtol=1e-13, atol=1e-13)
+
+    def test_product_matches_reference_convolution(self):
+        rng = np.random.default_rng(7)
+        a = self.random_jet(rng, (), zero_blocks=[(1, 1, 0)])
+        b = self.random_jet(rng, (), zero_blocks=[(0, 0, 0), (2, 0, 1)])
+        want = reference_truncated_convolution(a.coeffs, b.coeffs, self.ORDERS)
+        np.testing.assert_allclose((a * b).coeffs, want, rtol=1e-13, atol=1e-13)
+
+    def test_nilpotent_zeroes_exactly_the_constant_term(self):
+        x = self.random_jet(np.random.default_rng(8), (2, 3))
+        before = x.coeffs.copy()
+        nil = x.nilpotent()
+        assert np.all(nil.const == 0.0) and np.all(x.const != 0.0)
+        rest = np.ones(x.coeffs.shape, dtype=bool)
+        rest[..., 0, 0, 0] = False
+        np.testing.assert_array_equal(nil.coeffs[rest], x.coeffs[rest])
+        np.testing.assert_array_equal(x.coeffs, before)
+
+    def test_component_slice_and_append_zero_round_trip(self):
+        x = self.random_jet(np.random.default_rng(9), (2, 3))
+        padded = x.append_zero()
+        assert padded.value_shape == (2, 4)
+        np.testing.assert_array_equal(padded[:3].coeffs, x.coeffs)
+        np.testing.assert_array_equal(padded[3].coeffs, np.zeros((2, 3, 2, 4)))
+        np.testing.assert_array_equal(x[1:].coeffs, x.coeffs[:, 1:])
+        np.testing.assert_array_equal(x[2].coeffs, x.coeffs[:, 2])
+
+    def test_map_components_applies_a_matrix_along_the_component_axis(self):
+        rng = np.random.default_rng(10)
+        x = self.random_jet(rng, (2, 3))
+        A = rng.standard_normal((5, 3))
+        got = x.map_components(lambda cols: A @ cols)
+        assert got.value_shape == (2, 5)
+        np.testing.assert_allclose(got.coeffs, jets.matvec(A, x).coeffs, rtol=1e-13, atol=1e-13)
+
+    def test_add_diag_fills_constant_matrix_and_diagonal(self):
+        rng = np.random.default_rng(11)
+        A = rng.standard_normal((3, 3))
+        d = self.random_jet(rng, (2, 3))
+        got = jets.add_diag(A, d)
+        want = np.zeros((2, 3) + d.coeffs.shape[1:])
+        want[..., 0, 0, 0] = A
+        for i in range(3):
+            want[:, i, i] += d.coeffs[:, i]
+        np.testing.assert_array_equal(got.coeffs, want)
+        plain = rng.standard_normal(3)
+        np.testing.assert_array_equal(jets.add_diag(A, plain), A + np.diag(plain))
+
 class TestOrderZeroDegeneration:
     """All orders zero must reproduce plain float arithmetic bit for bit."""
 

@@ -51,6 +51,17 @@ class TestProjection:
             project_to_singular(model, [0.2, 0.1], pair)
 
 
+    def test_last_allowed_iterate_checks_the_gradient(self, monkeypatch):
+        # with no Newton step allowed the start point is the last iterate;
+        # the cubic head's J0 vanishes there, and so does I1
+        from singclass import strata
+
+        model = gallery_map("cusp_source_t3").model
+        pair = make_fibering_pair(model, np.zeros(2))
+        monkeypatch.setattr(strata, "NEWTON_MAX_ITER", 0)
+        with pytest.raises(DegenerateGradient):
+            project_to_singular(model, np.zeros(2), pair)
+
 class TestMembership:
     def test_family_second_stratum(self):
         model = gallery_map("family_kn", {"k": 2, "n": 0, "dimZ": 0}).model
