@@ -11,7 +11,7 @@ from .classify import Classification, Tolerances, classify_point
 from .fibering import make_fibering_pair, rescale_pair
 from .gallery import gallery_map, list_gallery
 from .lsreduce import local_representation
-from .model import AffinePair, MapModel, conjugate, is_simple_singularity
+from .model import AffinePair, MapModel, conjugate
 
 __all__ = [
     "AffinePair",
@@ -21,7 +21,6 @@ __all__ = [
     "classify_point",
     "conjugate",
     "gallery_map",
-    "is_simple_singularity",
     "list_gallery",
     "local_representation",
     "make_fibering_pair",

@@ -29,9 +29,9 @@ from . import report as reportmod
 from . import strata as stratamod
 from .classify import INDETERMINATE, Classification, Tolerances, classify_point
 from .errors import ConfigParseError, SingclassError
-from .fibering import make_fibering_pair
+from .fibering import bordered_pair
 from .gallery import gallery_map, list_gallery
-from .model import MapModel, conjugate, is_simple_singularity, random_affine_pair
+from .model import MapModel, conjugate, random_affine_pair
 from .verify import verify_problem
 
 EXIT_OK = 0
@@ -265,23 +265,13 @@ def _classification_entries(c: Classification) -> list[tuple[str, object]]:
 def cmd_classify(cfg: AnalysisConfig) -> int:
     model, point = build_problem(cfg)
     if cfg.project:
-        pair = make_fibering_pair(model, _nearest_singular_seed(model, point, cfg), cfg.tol.rank)
+        pair = bordered_pair(model, point, cfg.tol.rank)
         point = stratamod.project_to_singular(model, point, pair, tol=cfg.tol)
     c = classify_point(model, point, k_cap=cfg.k_cap, tol=cfg.tol, route=cfg.route)
     c.evidence.projected = cfg.project
     _emit(cfg, "classify", model,
           [("point", [float(x) for x in point])] + _classification_entries(c))
     return EXIT_INDETERMINATE if c.kind == INDETERMINATE else EXIT_OK
-
-
-def _nearest_singular_seed(model: MapModel, point: np.ndarray, cfg: AnalysisConfig):
-    """Anchor for the projection pair: the point itself if already simple,
-    otherwise a short deterministic search along coordinate directions."""
-    moves = [np.zeros(model.n)] + [s * e for s in (0.1, -0.1, 0.3, -0.3) for e in np.eye(model.n)]
-    for move in moves:
-        if is_simple_singularity(model, point + move, cfg.tol.rank)[1] == "simple":
-            return point + move
-    return point
 
 
 def cmd_gallery(cfg: AnalysisConfig, kind_filter: str | None) -> int:
@@ -349,8 +339,7 @@ def cmd_bvp(cfg: AnalysisConfig) -> int:
 
 def cmd_strata(cfg: AnalysisConfig) -> int:
     model, point = build_problem(cfg)
-    base = _nearest_singular_seed(model, point, cfg)
-    pair = make_fibering_pair(model, base, cfg.tol.rank)
+    pair = bordered_pair(model, point, cfg.tol.rank)
     projected = stratamod.project_to_singular(model, point, pair, tol=cfg.tol)
     member, vals = stratamod.stratum_membership(model, projected, cfg.stratum_h, pair, cfg.tol)
     sample = stratamod.sample_stratum(model, projected, pair, count=cfg.samples,

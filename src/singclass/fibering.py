@@ -14,7 +14,10 @@ of F' and are exactly jet-differentiable through the solve.
 
 From the pair, the scalar J0(u) = psi(u) F'(u) phi(u) and its iterated
 derivatives along phi (rows I_k = grad J_{k-1}, values J_k = I_k phi) are
-the data every classification decision consumes.
+the data every classification decision consumes.  For the bordered pair
+J0 = -s, the test function of the phi solve (Griewank & Reddien 1984), so psi
+is solved only at the base point.  Bordered by the last singular pair of
+F'(u0), the system is regular near any u0 with one small singular value.
 """
 
 from __future__ import annotations
@@ -46,6 +49,11 @@ class PairBase:
     def psi(self, pf: "PointFunctionals", x, Fp):
         raise NotImplementedError
 
+    def j0(self, pf: "PointFunctionals", x, Fp):
+        """J0 = psi F' phi at a plain or jet point."""
+        y = self.psi(pf, x, Fp) * jets.matvec(Fp, self.phi(pf, x, Fp))
+        return y.vsum() if isinstance(y, Jet) else float(np.sum(y))
+
 
 @dataclass(frozen=True)
 class FiberingPair(PairBase):
@@ -65,17 +73,19 @@ class FiberingPair(PairBase):
         pf.border_lu = linalg.border_factor(pf.Fp0, self.border_b, self.border_c, pf.tol)
 
     def _solve(self, pf, Fp, trans: int):
-        zero = np.zeros(self.border_b.shape[0])
-        sol, _ = linalg.bordered_solve(
-            Fp, self.border_b, self.border_c, (zero, 1.0), pf.tol, lu_piv=pf.border_lu, trans=trans
-        )
-        return sol
+        rhs = (np.zeros(self.border_b.shape[0]), 1.0)
+        return linalg.bordered_solve(Fp, self.border_b, self.border_c, rhs, pf.tol,
+                                     lu_piv=pf.border_lu, trans=trans)
 
     def phi(self, pf, x, Fp):
-        return self._solve(pf, Fp, 0) * self.phi_scale
+        return self._solve(pf, Fp, 0)[0] * self.phi_scale
 
     def psi(self, pf, x, Fp):
-        return self._solve(pf, Fp, 1) * self.psi_scale
+        return self._solve(pf, Fp, 1)[0] * self.psi_scale
+
+    def j0(self, pf, x, Fp):
+        """-s of the phi solve (0.0, not -0.0, when s is zero)."""
+        return 0.0 - self._solve(pf, Fp, 0)[1] * self.phi_scale * self.psi_scale
 
     def with_normalization(self, phi_scale: float, psi_scale: float) -> "FiberingPair":
         return FiberingPair(self.base_point, self.border_b, self.border_c, phi_scale, psi_scale)
@@ -134,6 +144,9 @@ class RescaledPair(PairBase):
     def psi(self, pf, x, Fp):
         return self.inner.psi(pf, x, Fp) * self.beta(x)
 
+    def j0(self, pf, x, Fp):
+        return self.inner.j0(pf, x, Fp) * self.alpha(x) * self.beta(x)
+
 
 @dataclass(frozen=True)
 class ExplicitPair(PairBase):
@@ -182,12 +195,7 @@ class PointFunctionals:
     # -- scalar J0 at an arbitrary (jet) point --------------------------------
 
     def j0_at(self, x):
-        Fp = jets.jacobian(self.model, x)
-        ph = self.pair.phi(self, x, Fp)
-        ps = self.pair.psi(self, x, Fp)
-        if isinstance(x, Jet):
-            return (ps * jets.matvec(Fp, ph)).vsum()
-        return float(np.dot(ps, Fp @ ph))
+        return self.pair.j0(self, x, jets.jacobian(self.model, x))
 
     def _phi_field(self, x):
         Fp = jets.jacobian(self.model, x)
@@ -198,7 +206,7 @@ class PointFunctionals:
     def J(self, k: int) -> float:
         if k not in self._J:
             if k == 0:
-                self._J[0] = float(np.dot(self.psi0, self.Fp0 @ self.phi0))
+                self._J[0] = float(self.pair.j0(self, self.u, self.Fp0))
             else:
                 self._J[k] = float(np.dot(self.row(k), self.phi0))
         return self._J[k]
@@ -232,13 +240,20 @@ class PointFunctionals:
         return out
 
 
+def bordered_pair(model: MapModel, u0, tol: float = linalg.DEFAULT_RANK_TOL) -> FiberingPair:
+    """Pair bordered by the last left (b) and right (c) singular vectors of
+    F'(u0), which need not be singular; ``u0`` may be its Linearization."""
+    lin = linalg.linearize(model, u0, tol)
+    return FiberingPair(lin.u, *lin.last_pair)
+
+
 def make_fibering_pair(model: MapModel, u0, tol: float = linalg.DEFAULT_RANK_TOL) -> FiberingPair:
-    """Bordered pair at a simple singularity: b spans the cokernel, c the
-    kernel.  ``u0`` is a plain point or its ``linalg.Linearization``."""
+    """``bordered_pair`` at a simple singularity, where b spans the cokernel
+    and c the kernel.  ``u0`` is a plain point or its ``linalg.Linearization``."""
     lin = linalg.linearize(model, u0, tol)
     if lin.kdim != 1:
         raise NotSimple(f"kernel dimension is {lin.kdim}, expected 1")
-    return FiberingPair(lin.u, lin.cokernel[:, 0], lin.kernel[:, 0])
+    return bordered_pair(model, lin)
 
 
 def rescale_pair(pair: PairBase, alpha_spec: ScaleSpec, beta_spec: ScaleSpec) -> RescaledPair:

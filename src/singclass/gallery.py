@@ -15,6 +15,9 @@ from .errors import ParamOutOfRange, UnknownName
 from .model import SMOOTH, MapModel
 
 MAX_TOTAL_DIM = 32
+_PARAM_KEYS = {"fold_t2": (), "cusp_source_t3": (), "transverse_k": ("k", "N", "dimZ"),
+               "l2_truncated": ("k", "N", "dimZ"), "family_kn": ("k", "n", "dimZ"),
+               "whitney": ("k", "dimZ"), "eps_perturbed": ("eps",)}  # the keys each reads
 
 
 @dataclass(frozen=True)
@@ -77,12 +80,16 @@ def _origin(n: int) -> tuple[tuple[float, ...], ...]:
 def gallery_map(name: str, params: dict | None = None) -> GalleryEntry:
     """Construct a gallery entry by name.
 
-    Names: fold_t2, cusp_source_t3, transverse_k, family_kn, whitney,
-    l2_truncated, eps_perturbed.  Parameters k, N, n and dimZ are integers
+    ``_PARAM_KEYS`` lists the names and the parameters each reads; any other
+    key raises ``ParamOutOfRange``.  Parameters k, N, n and dimZ are integers
     (integral floats pass) with k <= 8, exponent n <= 12, dimZ >= 0 and total
     dimension <= 32.
     """
+    if name not in _PARAM_KEYS:
+        raise UnknownName(f"unknown gallery map {name!r}")
     params = dict(params or {})
+    for key in params:
+        _check(key in _PARAM_KEYS[name], f"{name} has no parameter {key!r}")
     if name == "fold_t2":
         model = _ls_polynomial_model(2, lambda x: jets.powi(jets.comp(x, 0), 2), "fold_t2")
         expected = (
@@ -195,8 +202,6 @@ def gallery_map(name: str, params: dict | None = None) -> GalleryEntry:
                 ),
             )
         return GalleryEntry(name, {"eps": eps}, model, expected)
-
-    raise UnknownName(f"unknown gallery map {name!r}")
 
 
 def _family_expected(k: int, n_exp: int, n: int) -> ExpectedPoints:

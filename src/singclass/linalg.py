@@ -51,8 +51,8 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
 class Linearization:
     """F'(u) at one point and what both routes read off it, all from one SVD
     ``A = U diag(sigma) V^T``: the rank, the sign-fixed kernel basis (columns
-    of V) and cokernel basis (columns of U) past the rank, and the range
-    basis ``U[:, :rank]``."""
+    of V) and cokernel basis (columns of U) past the rank, the range basis
+    ``U[:, :rank]``, and the sign-fixed last columns of U and V."""
 
     u: np.ndarray | None
     A: np.ndarray
@@ -61,6 +61,7 @@ class Linearization:
     kernel: np.ndarray        # n x kdim
     cokernel: np.ndarray      # n x kdim, left null vectors
     range_basis: np.ndarray   # n x rank
+    last_pair: tuple          # (last column of U, last column of V)
 
     @property
     def kdim(self) -> int:
@@ -74,7 +75,8 @@ class Linearization:
             raise ValueError("a linearization needs a square matrix")
         U, sv, Vt = np.linalg.svd(A)
         rank = _numerical_rank(sv, tol)
-        return cls(u, A, sv, rank, _fix_signs(Vt[rank:].T), _fix_signs(U[:, rank:]), U[:, :rank])
+        return cls(u, A, sv, rank, _fix_signs(Vt[rank:].T), _fix_signs(U[:, rank:]), U[:, :rank],
+                   (_fix_signs(U[:, -1:])[:, 0], _fix_signs(Vt[-1:].T)[:, 0]))
 
 
 def linearize(model, u, tol: float = DEFAULT_RANK_TOL) -> Linearization:

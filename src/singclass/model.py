@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import jets, linalg
+from . import jets
 from .errors import SingularAffine
 
 SMOOTH = 64  # sentinel smoothness order for C-infinity models
@@ -94,14 +94,3 @@ def conjugate(model: MapModel, pair: AffinePair) -> MapModel:
     return MapModel(model.n, model.d, ev, label=f"{model.label}~affine", meta=dict(model.meta),
                     jac=jac)
 
-
-def is_simple_singularity(model: MapModel, u, tol: float = linalg.DEFAULT_RANK_TOL):
-    """Kernel dimension of F'(u) and the verdict regular/simple/non_simple."""
-    kdim = linalg.linearize(model, u, tol).kdim
-    if kdim == 0:
-        verdict = "regular"
-    elif kdim == 1:
-        verdict = "simple"
-    else:
-        verdict = "non_simple"
-    return kdim, verdict

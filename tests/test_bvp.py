@@ -18,7 +18,7 @@ from singclass.classify import classify_point
 from singclass.errors import AliasedCoefficients, ParamOutOfRange
 from singclass.fibering import PointFunctionals
 from singclass.linalg import Linearization, linearize, rank_decision
-from singclass.model import conjugate, is_simple_singularity, random_affine_pair
+from singclass.model import conjugate, random_affine_pair
 
 A_SIN = ((1, 0.0, 1.0),)  # a(t) = sin(2 pi t)
 P_ONE = ((0, 1.0, 0.0),)  # p(t) = 1
@@ -73,8 +73,7 @@ class TestModelConstruction:
     def test_zero_is_a_root_and_simple(self):
         model = make_periodic_bvp(PeriodicProblem(N=64, a_terms=A_SIN, p_terms=P_ONE))
         np.testing.assert_allclose(model(np.zeros(64)), 0.0, atol=1e-13)
-        kdim, verdict = is_simple_singularity(model, np.zeros(64))
-        assert (kdim, verdict) == (1, "simple")
+        assert linearize(model, np.zeros(64)).kdim == 1
 
     def test_kernel_is_constants_direction(self):
         model = make_periodic_bvp(PeriodicProblem(N=64, a_terms=A_SIN))

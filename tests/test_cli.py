@@ -285,6 +285,57 @@ class TestPointFlag:
         assert run(["classify", "--gallery", "whitney", "--param", "k=2.5", "--point", "0,0"]) == 1
         assert "k must be an integer" in capsys.readouterr().err
 
+    def test_unknown_gallery_parameter_exits_one(self, capsys):
+        assert run(["classify", "--gallery", "whitney", "--param", "kk=3", "--point", "0"]) == 1
+        assert "'kk'" in capsys.readouterr().err
+
+
+class TestProjectionFromOffSetPoints:
+    """``strata`` and ``classify --project`` start from points off the
+    singular set: the projection pair is bordered by the last singular
+    pair of F' at the start point."""
+
+    CASES = [
+        ("whitney", {"k": 2}, "0.05,0.02"),
+        ("whitney", {"k": 3, "dimZ": 2}, "0.05,0.02,0.01,0.03,-0.02"),
+        ("eps_perturbed", {"eps": 0.1}, "0.5,0.1"),
+    ]
+
+    @staticmethod
+    def args(name, params, start):
+        params = [arg for key, value in params.items() for arg in ("--param", f"{key}={value}")]
+        return ["--gallery", name] + params + ["--point", start]
+
+    @staticmethod
+    def projected_j0(name, params, start, projected):
+        """J_0 at the projected point, of the pair the projection used."""
+        from singclass.fibering import PointFunctionals, bordered_pair
+        from singclass.gallery import gallery_map
+
+        model = gallery_map(name, params).model
+        pair = bordered_pair(model, [float(x) for x in start.split(",")])
+        return PointFunctionals(model, pair, projected).J(0)
+
+    @pytest.mark.parametrize("name, params, start", CASES)
+    def test_strata(self, tmp_path, name, params, start):
+        out = tmp_path / "s.txt"
+        args = self.args(name, params, start) + ["--samples", "3", "--out", str(out)]
+        assert run(["strata"] + args) == 0
+        data = parse(out.read_text())
+        assert data["membership.member"] is True
+        assert abs(data["membership.J"][0]) <= 1e-10
+        assert abs(self.projected_j0(name, params, start, data["projected.point"])) <= 1e-10
+
+    @pytest.mark.parametrize("name, params, start", CASES)
+    def test_classify_project(self, tmp_path, name, params, start):
+        out = tmp_path / "c.txt"
+        assert run(["classify"] + self.args(name, params, start) + ["--project", "--out", str(out)]) == 0
+        data = parse(out.read_text())
+        assert data["result.projected"] is True
+        assert (data["result.kind"], data["result.k"]) == ("KSingularity", 1)
+        assert abs(self.projected_j0(name, params, start, data["point"])) <= 1e-10
+
+
 class TestUsageErrors:
     def test_bad_flag_exits_one(self):
         assert run(["classify", "--made-up-flag"]) == 1

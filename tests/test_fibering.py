@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from singclass import jets
+from singclass import jets, linalg
+from singclass.bvp import PeriodicProblem, make_periodic_bvp
 from singclass.classify import Tolerances, classify_point
 from singclass.errors import NotSimple, VanishingScale
 from singclass.fibering import (
     ExplicitPair,
+    PairBase,
     PointFunctionals,
     ScaleSpec,
     make_fibering_pair,
@@ -273,3 +275,89 @@ class TestDepthGuards:
         pf.row(1)
         with pytest.raises(OrderExceedsSmoothness):
             pf.row(2)
+
+
+def quartic_bvp(N):
+    """u' + sin(2 pi t) u^2 + u^4 on N points; simple singularity at u = 0."""
+    return make_periodic_bvp(PeriodicProblem(N=N, a_terms=((1, 0.0, 1.0),),
+                                             p_terms=((0, 1.0, 0.0),)))
+
+
+def j0_fixture(label):
+    """(model, base point, nearby point): whitney off its base point, or the
+    quartic problem, plain or conjugated (so it has ``jac``)."""
+    rng = np.random.default_rng(12)
+    if label == "whitney":
+        model = gallery_map("whitney", {"k": 3, "dimZ": 2}).model
+        return model, np.zeros(5), 0.05 * rng.standard_normal(5)
+    model, base = quartic_bvp(32), np.zeros(32)
+    if label == "bvp~affine":
+        affine = random_affine_pair(32, rng)
+        model, base = conjugate(model, affine), affine.gamma_shift
+    return model, base, base + 0.01 * rng.standard_normal(32)
+
+
+def j0_pairs(model, base):
+    pair = make_fibering_pair(model, base)
+    n = model.n
+    Q = 0.1 * np.random.default_rng(13).standard_normal((n, n)) / np.sqrt(n)
+    quad = ScaleSpec(1.5, quad=(Q + Q.T) / 2, center=base)
+    return {
+        "bordered": pair,
+        "normalized": pair.with_normalization(2.5, -0.4),
+        "rescaled-const": rescale_pair(pair, ScaleSpec(2.0), ScaleSpec(-0.7)),
+        "rescaled-quad": rescale_pair(pair, quad, ScaleSpec(-0.8, quad=Q @ Q.T, center=base)),
+    }
+
+
+def coeffs(v) -> np.ndarray:
+    return np.asarray(v.coeffs if isinstance(v, jets.Jet) else v)
+
+
+class TestBorderedTestFunction:
+    """J0 = psi F' phi equals -s of the phi solve (scaled by the pair's
+    normalization and rescaling), at plain and jet points."""
+
+    @pytest.mark.parametrize("label", ["whitney", "bvp", "bvp~affine"])
+    def test_pair_j0_equals_generic_contraction(self, label):
+        # near the singular set J0 is a cancellation among terms of size
+        # |psi| |F'| |phi|, so the contraction is only accurate relative to that
+        model, base, u = j0_fixture(label)
+        rng = np.random.default_rng(14)
+        names = (jets.fresh_name("a"), jets.fresh_name("b"))
+        x = jets.constant(u, names, (2, 1))
+        for name in names:
+            x = x + jets.unit(names, (2, 1), name) * rng.standard_normal(model.n)
+        for key, pair in j0_pairs(model, base).items():
+            pf = PointFunctionals(model, pair, u)
+            for point in (u, x):
+                Fp = jets.jacobian(model, point)
+                got, want = coeffs(pair.j0(pf, point, Fp)), coeffs(PairBase.j0(pair, pf, point, Fp))
+                terms = [np.linalg.norm(coeffs(v)) for v in
+                         (pair.psi(pf, point, Fp), Fp, pair.phi(pf, point, Fp))]
+                assert np.max(np.abs(want)) > 1e-6 * np.prod(terms), (key, "J0 vanishes here")
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.prod(terms), key
+
+    def test_zero_s_gives_positive_zero(self):
+        model = gallery_map("fold_t2").model
+        pair = make_fibering_pair(model, [0.0, 0.0])
+        j0 = PointFunctionals(model, pair, [0.0, 0.0]).J(0)
+        assert j0 == 0.0 and np.copysign(1.0, j0) == 1.0
+
+    @pytest.mark.parametrize("model, u", [
+        (gallery_map("whitney", {"k": 3, "dimZ": 0}).model, np.zeros(3)),
+        (quartic_bvp(32), np.zeros(32)),
+    ], ids=["whitney", "bvp"])
+    def test_jet_points_make_no_transposed_solve(self, monkeypatch, model, u):
+        calls = []
+        solve = linalg.bordered_solve
+
+        def recording(A, *args, trans=0, **kwargs):
+            calls.append((isinstance(A, jets.Jet), trans))
+            return solve(A, *args, trans=trans, **kwargs)
+
+        monkeypatch.setattr(linalg, "bordered_solve", recording)
+        c = classify_point(model, u, route="fibering")
+        assert c.kind == "KSingularity" and c.k == 3
+        assert (True, 0) in calls
+        assert (True, 1) not in calls

@@ -32,6 +32,21 @@ def test_integer_params_must_be_integral(name, params):
         gallery_map(name, params)
 
 
+@pytest.mark.parametrize("name, params, key", [
+    ("whitney", {"kk": 3}, "kk"),
+    ("whitney", {"k": 2, "n": 3}, "n"),
+    ("fold_t2", {"k": 1}, "k"),
+    ("cusp_source_t3", {"eps": 0.1}, "eps"),
+    ("transverse_k", {"k": 2, "n": 0}, "n"),
+    ("l2_truncated", {"N": 2, "eps": 0.0}, "eps"),
+    ("family_kn", {"k": 1, "N": 2}, "N"),
+    ("eps_perturbed", {"eps": 0.1, "k": 2}, "k"),
+])
+def test_unknown_parameter_key_rejected(name, params, key):
+    with pytest.raises(ParamOutOfRange, match=repr(key)):
+        gallery_map(name, params)
+
+
 def test_integral_float_params_are_accepted():
     entry = gallery_map("whitney", {"k": 2.0, "dimZ": 1.0})
     assert entry.params == {"k": 2, "dimZ": 1}

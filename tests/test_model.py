@@ -8,7 +8,6 @@ from singclass.linalg import linearize
 from singclass.model import (
     AffinePair,
     conjugate,
-    is_simple_singularity,
     random_affine_pair,
 )
 from singclass.model import MapModel, SMOOTH
@@ -53,15 +52,14 @@ def test_swap_moves_singular_set_to_first_axis():
 
 def test_is_simple_singularity_verdicts():
     fold = gallery_map("fold_t2").model
-    assert is_simple_singularity(fold, [0.0, 0.3])[1] == "simple"
-    assert is_simple_singularity(fold, [1.0, 0.0])[1] == "regular"
+    assert linearize(fold, [0.0, 0.3]).kdim == 1
+    assert linearize(fold, [1.0, 0.0]).kdim == 0
 
     def doubly_degenerate(x):
         return jets.stack([jets.powi(jets.comp(x, 0), 2), jets.powi(jets.comp(x, 1), 2)])
 
     dd = MapModel(2, SMOOTH, doubly_degenerate, "doubly-degenerate")
-    kdim, verdict = is_simple_singularity(dd, [0.0, 0.0])
-    assert (kdim, verdict) == (2, "non_simple")
+    assert linearize(dd, [0.0, 0.0]).kdim == 2
 
 
 def test_simplicity_invariant_under_conjugation():
@@ -71,6 +69,6 @@ def test_simplicity_invariant_under_conjugation():
         pair = random_affine_pair(model.n, rng)
         moved = conjugate(model, pair)
         for u in (np.zeros(model.n), rng.standard_normal(model.n)):
-            base = is_simple_singularity(model, u)
-            trans = is_simple_singularity(moved, pair.apply_gamma(u))
+            base = linearize(model, u).kdim
+            trans = linearize(moved, pair.apply_gamma(u)).kdim
             assert base == trans

@@ -168,12 +168,11 @@ class TestSampling:
         sample = sample_stratum(model, np.zeros(2), pair, count=20, seed=1)
         assert len(sample.points) == 20
         from singclass.fibering import PointFunctionals
-        from singclass.model import is_simple_singularity
 
         rng = np.random.default_rng(5)
         for pt, res in zip(sample.points, sample.residuals):
             assert res <= 1e-9
-            assert is_simple_singularity(model, pt)[0] == 1
+            assert linearize(model, pt).kdim == 1
             off = np.asarray(pt) + np.array([0.01, 0.0]) * rng.choice([-1.0, 1.0])
             pf = PointFunctionals(model, pair, off)
             assert abs(pf.J(0)) > 1e-4
