@@ -6,12 +6,13 @@ of full rank), then stops at the first decisive event: J_k clearly nonzero
 (ordinary k-singularity), I_{k+1} dependent while J_k vanishes (maximal
 k-transverse), a vanishing first row (not 1-transverse), or the order cap.
 
-Zero tests use a hysteresis band: |J| <= tol_zero * S counts as zero and
-|J| >= tol_nonzero * S as nonzero, with S the largest |J| seen so far
-(floored at 1); values inside the band make the verdict Indeterminate
-rather than silently picking a side.  Both evaluation routes (the pair
-functionals on the original coordinates and the reduced-scalar derivatives)
-run by default and must agree.
+Every decision reads ``linalg.negligible``: rank decisions against the
+largest singular value at tol_rank, and zero tests (``Tolerances.zero_states``)
+against the largest |J| seen so far, with a hysteresis band between tol_zero
+and tol_nonzero whose values make the verdict Indeterminate rather than
+silently picking a side.  Both evaluation routes (the pair functionals on the
+original coordinates and the reduced-scalar derivatives) run by default and
+must agree.
 """
 
 from __future__ import annotations
@@ -45,17 +46,19 @@ class Tolerances:
     def __post_init__(self):
         if min(self.rank, self.zero, self.nonzero) <= 0:
             raise ValueError("tolerances must be positive")
+        if max(self.rank, self.zero, self.nonzero) >= 1:
+            raise ValueError("tolerances must be below 1, or every value is negligible")
         if self.zero >= self.nonzero:
             raise ValueError("tol_zero must be strictly below tol_nonzero")
 
-    def zero_state(self, value: float, scale: float) -> str:
-        """The one zero test: ``'zero'`` when |value| <= zero * scale,
-        ``'nonzero'`` when |value| >= nonzero * scale, ``'band'`` between."""
-        if abs(value) <= self.zero * scale:
-            return "zero"
-        if abs(value) >= self.nonzero * scale:
-            return "nonzero"
-        return "band"
+    def zero_states(self, values) -> list[str]:
+        """The zero test with hysteresis, each value judged against the
+        largest |value| in ``values``: ``'zero'`` when negligible at ``zero``,
+        ``'nonzero'`` when not negligible at ``nonzero``, ``'band'`` between."""
+        ref = max((abs(v) for v in values), default=0.0)
+        return ["zero" if linalg.negligible(v, ref, self.zero)
+                else "band" if linalg.negligible(v, ref, self.nonzero) else "nonzero"
+                for v in values]
 
 
 @dataclass
@@ -104,8 +107,7 @@ class Classification:
         return self.kind == other.kind and self.k == other.k
 
 
-def _run_route(route: str, pair_id: str, functionals, k_cap: int, d: int,
-               tol: Tolerances) -> RouteEvidence:
+def _run_route(route: str, pair_id: str, functionals, k_cap: int, tol: Tolerances) -> RouteEvidence:
     """The decision loop over one route's ``J(k)`` / ``row(k)`` functionals."""
     ev = RouteEvidence(route=route, pair_id=pair_id)
 
@@ -116,10 +118,8 @@ def _run_route(route: str, pair_id: str, functionals, k_cap: int, d: int,
         ev.stage = stage
         return ev
 
-    j0 = functionals.J(0)
-    ev.J_values.append(j0)
-    scale = max(1.0, abs(j0))
-    if tol.zero_state(j0, scale) != "zero":
+    ev.J_values.append(functionals.J(0))
+    if tol.zero_states(ev.J_values)[-1] != "zero":
         return finish(INDETERMINATE, None, 0, "J_0")
 
     rows = [functionals.row(1)]
@@ -130,18 +130,14 @@ def _run_route(route: str, pair_id: str, functionals, k_cap: int, d: int,
 
     k = 1
     while True:
-        jk = functionals.J(k)
-        ev.J_values.append(jk)
-        scale = max(scale, abs(jk))
-        state = tol.zero_state(jk, scale)
+        ev.J_values.append(functionals.J(k))
+        state = tol.zero_states(ev.J_values)[-1]
         if state == "nonzero":
             return finish(K_SINGULARITY, k, k)
         if state == "band":
             return finish(INDETERMINATE, None, k, f"J_{k}")
         if k >= k_cap:
             return finish(TRANSVERSE_UP_TO_CAP, k_cap, k_cap)
-        if k + 1 > d - 1:
-            return finish(MAXIMAL_K_TRANSVERSE, k, k)
         rows.append(functionals.row(k + 1))
         dec = linalg.rank_decision(np.array(rows), tol.rank)
         ev.singular_values[k + 1] = list(dec.singular_values)
@@ -192,10 +188,10 @@ def classify_point(
         if pair is None:
             pair = make_fibering_pair(model, lin, tol.rank)
         pf = PointFunctionals(model, pair, lin, tol.rank)
-        report.routes.append(_run_route("fibering", pair.pair_id, pf, k_cap, model.d, tol))
+        report.routes.append(_run_route("fibering", pair.pair_id, pf, k_cap, tol))
     if route in ("ls", "both"):
         ls = local_representation(model, lin, tol.rank)
-        report.routes.append(_run_route("ls", "canonical-ls", ls, k_cap, model.d, tol))
+        report.routes.append(_run_route("ls", "canonical-ls", ls, k_cap, tol))
 
     if len(report.routes) == 2:
         a, b = report.routes

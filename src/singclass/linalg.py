@@ -1,7 +1,7 @@
-"""Dense small-matrix numerics: ranks with explicit tolerances, the
-linearization of a map at a point (kernel, cokernel and range from one SVD),
-and bordered solves against one factored constant-term bordered matrix (jet
-solutions apply only the nilpotent part of the jet matrix on top of it)."""
+"""Dense small-matrix numerics: the one decision rule ``negligible``, ranks,
+the linearization of a map at a point (kernel, cokernel and range from one
+SVD), and bordered solves against one factored constant-term bordered matrix
+(jet solutions apply only the nilpotent part of the jet matrix on top of it)."""
 
 from __future__ import annotations
 
@@ -23,11 +23,15 @@ class RankDecision:
     singular_values: tuple[float, ...]
 
 
+def negligible(x, ref, tol: float):
+    """The one decision rule, elementwise in x: |x| <= tol * max(1, |ref|); the
+    floor keeps all-zero and tiny-noise inputs negligible."""
+    return np.abs(x) <= tol * max(1.0, abs(float(ref)))
+
+
 def _numerical_rank(sv: np.ndarray, tol: float) -> int:
-    """Count of singular values above ``tol * max(1, sigma_max)``; the
-    ``max(1, .)`` floor keeps all-zero and tiny-noise matrices at rank zero
-    without a separate absolute threshold."""
-    return int(np.sum(sv > tol * max(1.0, float(sv[0]) if sv.size else 0.0)))
+    """Count of singular values not negligible against sigma_max."""
+    return int(np.count_nonzero(~negligible(sv, sv[0] if sv.size else 0.0, tol)))
 
 
 def rank_decision(rows: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> RankDecision:

@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import jets
+from . import jets, linalg
 from .errors import SingularAffine
 
 SMOOTH = 64  # sentinel smoothness order for C-infinity models
@@ -46,7 +46,7 @@ class AffinePair:
     def __post_init__(self):
         for name, M in (("gamma", self.gamma_mat), ("delta", self.delta_mat)):
             sv = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
-            if sv[-1] <= 1e-10 * max(1.0, sv[0]):
+            if linalg.negligible(sv[-1], sv[0], 1e-10):
                 raise SingularAffine(f"{name} matrix is singular at tolerance 1e-10")
 
     def apply_gamma(self, u):

@@ -36,13 +36,19 @@ def project_to_singular(model: MapModel, u_guess, pair: PairBase,
     regular zero set of J0.  A returned point has a nonzero I1.
     """
     u = np.asarray(u_guess, dtype=float).copy()
-    for _ in range(NEWTON_MAX_ITER + 1):  # the start and each Newton step's iterate
+    for step in range(NEWTON_MAX_ITER + 1):  # the start and each Newton step's iterate
         pf = PointFunctionals(model, pair, u, tol.rank)
         i1 = pf.row(1)
-        if linalg.rank_decision(i1[None, :], tol.rank).rank == 0:
+        i1_norm = float(np.linalg.norm(i1))
+        if linalg.negligible(i1_norm, i1_norm, tol.rank):
+            if step == 0:
+                sv = np.linalg.svd(pf.Fp0, compute_uv=False)
+                raise DegenerateGradient(
+                    f"I1 vanishes at the start point, where sigma_min/sigma_max of F' is "
+                    f"{sv[-1] / sv[0]:.3g}; start where F' has one small singular value")
             raise DegenerateGradient("I1 vanishes at the current iterate")
         j0 = pf.J(0)
-        if abs(j0) <= NEWTON_TARGET:
+        if linalg.negligible(j0, 0.0, NEWTON_TARGET):
             return u
         u = u - (j0 / float(np.dot(i1, i1))) * i1
     raise NoConvergence(f"|J0| = {abs(j0):.3e} after {NEWTON_MAX_ITER} Newton steps")
@@ -55,10 +61,11 @@ def stratum_membership(model: MapModel, u, h: int, pair: PairBase,
     Returns ``(member, values)``; ``member`` is None (indeterminate) when no
     value is clearly nonzero but some value lies in the tolerance band.
     """
+    if h < 0:
+        raise ValueError(f"stratum order h must be at least 0, got {h}")
     pf = PointFunctionals(model, pair, u, tol.rank)
     vals = [pf.J(j) for j in range(h)]
-    scale = max(1.0, max((abs(v) for v in vals), default=0.0))
-    states = {tol.zero_state(v, scale) for v in vals}
+    states = set(tol.zero_states(vals))
     member = False if "nonzero" in states else None if "band" in states else True
     return member, vals
 
@@ -71,10 +78,10 @@ def tangent_space(model: MapModel, u, h: int, pair: PairBase,
         return [np.eye(n)[:, j] for j in range(n)]
     pf = PointFunctionals(model, pair, u, tol.rank)
     rows = np.array([pf.row(j) for j in range(1, h + 1)])
-    dec = linalg.rank_decision(rows, tol.rank)
-    if dec.rank != h:
-        raise NotIndependent(f"rows I_1..I_{h} have rank {dec.rank} < {h}")
-    _, _, Vt = np.linalg.svd(rows)
+    _, sv, Vt = np.linalg.svd(rows)
+    rank = linalg._numerical_rank(sv, tol.rank)
+    if rank != h:
+        raise NotIndependent(f"rows I_1..I_{h} have rank {rank} < {h}")
     basis = linalg._fix_signs(Vt[h:].T)
     return [basis[:, j] for j in range(n - h)]
 
@@ -107,10 +114,9 @@ def verify_stratification(model: MapModel, u0, k: int, pair: PairBase,
         rank_ok[h] = dec.rank == h
     phi = pf.phi0
     resid = np.linalg.norm(stack @ phi)
-    row_scale = max(1.0, float(np.linalg.norm(stack)) * float(np.linalg.norm(phi)))
-    phi_in = tol.zero_state(resid, row_scale) == "zero"
-    jscale = max(1.0, max(abs(pf.J(j)) for j in range(k + 1)))
-    jk_zero = tol.zero_state(pf.J(k), jscale) == "zero"
+    phi_in = linalg.negligible(resid, float(np.linalg.norm(stack)) * float(np.linalg.norm(phi)),
+                               tol.zero)
+    jk_zero = tol.zero_states([pf.J(j) for j in range(k + 1)])[-1] == "zero"
     # sampled nearby singular points must keep rank(I1) = 1
     rng = np.random.default_rng(seed)
     ok = True
@@ -138,6 +144,8 @@ def sample_stratum(model: MapModel, u0, pair: PairBase, count: int = 20, seed: i
     The sampling radius is halved (up to 4 times) when the bordered solve
     leaves its validity neighbourhood.
     """
+    if count < 0:
+        raise ValueError(f"sample count must be at least 0, got {count}")
     rng = np.random.default_rng(seed)
     pts, hs, res = [], [], []
     for _ in range(count):
@@ -152,11 +160,8 @@ def sample_stratum(model: MapModel, u0, pair: PairBase, count: int = 20, seed: i
         else:
             continue
         pf = PointFunctionals(model, pair, pt, tol.rank)
-        vals = [pf.J(j) for j in range(SAMPLE_H_MAX)]
-        scale = max(1.0, max(abs(v) for v in vals))
-        h = 0
-        while h < SAMPLE_H_MAX and tol.zero_state(vals[h], scale) == "zero":
-            h += 1
+        states = tol.zero_states([pf.J(j) for j in range(SAMPLE_H_MAX)])
+        h = next((j for j, state in enumerate(states) if state != "zero"), SAMPLE_H_MAX)
         pts.append(pt)
         hs.append(h)
         res.append(abs(pf.J(0)))

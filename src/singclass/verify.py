@@ -64,6 +64,8 @@ def scaling_law_error(model: MapModel, u, alpha: float = 2.0, beta: float = 3.0,
 
 def verify_problem(model: MapModel, u, trials: int = 50, seed: int = 0,
                    k_cap: int = 6, tol: Tolerances = Tolerances()) -> VerifyRecord:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     lin = linalg.linearize(model, u, tol.rank)  # the one F'(u) every base-point step reads
     u = lin.u
     rng = np.random.default_rng(seed)

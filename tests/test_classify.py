@@ -80,6 +80,19 @@ class TestHysteresis:
         with pytest.raises(ValueError):
             Tolerances(zero=1e-3, nonzero=1e-3)
 
+    @pytest.mark.parametrize("field, value", [("rank", 2.0), ("zero", 1.0), ("nonzero", 1.5)])
+    def test_tolerance_of_one_or_more_rejected(self, field, value):
+        # under the max(1, .) floor such a tolerance makes every value negligible
+        with pytest.raises(ValueError, match="below 1"):
+            Tolerances(**{field: value})
+
+    def test_zero_states_judge_against_the_largest_value(self):
+        tol = Tolerances(zero=1e-6, nonzero=1e-3)
+        assert tol.zero_states([]) == []
+        assert tol.zero_states([1e-7, 1e-5, 1e-2]) == ["zero", "band", "nonzero"]
+        # against a largest |value| of 1e4 the threshold scales up
+        assert tol.zero_states([1e-3, 1.0, 1e4]) == ["zero", "band", "nonzero"]
+
 
 class TestTrichotomy:
     def test_exactly_one_kind_on_gallery(self):

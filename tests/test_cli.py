@@ -342,3 +342,31 @@ class TestUsageErrors:
 
     def test_unknown_command_exits_one(self):
         assert run(["frobnicate"]) == 1
+
+
+class TestOutOfRangeSettings:
+    """Values that would make a decision or a check vacuous exit 1."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["classify", "--gallery", "fold_t2", "--point", "0,0", "--tol-rank", "2"],
+         "tolerances must be below 1"),
+        (["classify", "--gallery", "fold_t2", "--point", "0,0", "--tol-nonzero", "1.5"],
+         "tolerances must be below 1"),
+        (["verify", "--gallery", "fold_t2", "--trials", "-4"], "trials must be at least 1"),
+        (["strata", "--gallery", "fold_t2", "--point", "0.3,0.7", "--stratum-h", "-2"],
+         "stratum order h must be at least 0"),
+        (["strata", "--gallery", "fold_t2", "--point", "0.3,0.7", "--samples", "-3"],
+         "sample count must be at least 0"),
+    ])
+    def test_exits_one(self, tmp_path, capsys, args, message):
+        out = tmp_path / "r.txt"
+        assert run(args + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    def test_projection_names_a_bad_start_point(self, capsys):
+        # F'(1, 0) = diag(2, 1) has no small singular value
+        assert run(["strata", "--gallery", "fold_t2", "--point", "1.0,0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: I1 vanishes at the start point")
+        assert "sigma_min/sigma_max of F' is 0.5;" in err

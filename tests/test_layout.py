@@ -1,6 +1,8 @@
 """The jet coefficient layout is private to ``jets``: other modules work on
-jets through its functions and methods, never on the coefficient array."""
+jets through its functions and methods, never on the coefficient array.
+Every zero, rank and regularity decision reads ``linalg.negligible``."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -18,3 +20,26 @@ def test_only_jets_touches_the_coefficient_layout():
 def test_one_truncated_product_loop():
     counts = {path.name: path.read_text().count("np.ndindex") for path in SRC.glob("*.py")}
     assert {name: n for name, n in counts.items() if n} == {"jets.py": 1}
+
+
+def _enclosing_function(tree: ast.AST, line: int) -> str | None:
+    """Name of the innermost function whose body spans ``line``."""
+    spans = [(node.lineno, node.name) for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.lineno <= line <= node.end_lineno]
+    return max(spans)[1] if spans else None
+
+
+def test_one_decision_rule():
+    """The ``max(1, .)`` floor is written once, in ``linalg.negligible``;
+    ``verify.scaling_law_error`` uses it for a measured error the report
+    prints, not for a decision."""
+    floor = re.compile(r"max(imum)?\(1\.0")
+    allowed = {("linalg.py", "negligible"), ("verify.py", "scaling_law_error")}
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text)
+        sites += [(path.name, _enclosing_function(tree, no), f"{no}: {line.strip()}")
+                  for no, line in enumerate(text.splitlines(), 1) if floor.search(line)]
+    assert [site for site in sites if site[:2] not in allowed] == []
+    assert ("linalg.py", "negligible") in {site[:2] for site in sites}

@@ -8,6 +8,17 @@ from singclass.errors import SingularBorder
 from singclass.jets import Jet, constant, unit
 
 
+class TestNegligible:
+    def test_floor_at_one(self):
+        assert linalg.negligible(1e-9, 0.0, 1e-8)
+        assert not linalg.negligible(2e-8, 1e-3, 1e-8)
+        assert linalg.negligible(-2e-8, 1e3, 1e-8)
+
+    def test_elementwise_with_sign_free_reference(self):
+        got = linalg.negligible(np.array([5.0, -0.5, 0.05]), -100.0, 1e-2)
+        assert got.tolist() == [False, True, True]
+
+
 class TestRankDecision:
     def test_identity(self):
         assert linalg.rank_decision(np.eye(3), 1e-9).rank == 3

@@ -3,7 +3,7 @@ import pytest
 
 from singclass.classify import Tolerances
 from singclass.errors import DegenerateGradient
-from singclass.fibering import ScaleSpec, make_fibering_pair, rescale_pair
+from singclass.fibering import ScaleSpec, bordered_pair, make_fibering_pair, rescale_pair
 from singclass.gallery import gallery_map
 from singclass.linalg import linearize
 from singclass.strata import (
@@ -62,6 +62,14 @@ class TestProjection:
         with pytest.raises(DegenerateGradient):
             project_to_singular(model, np.zeros(2), pair)
 
+    def test_vanishing_gradient_at_the_start_point_is_named(self):
+        # F'(1, 0) = diag(2, 1): the pair borders the xi direction, J0 is constant
+        model = gallery_map("fold_t2").model
+        pair = bordered_pair(model, [1.0, 0.0])
+        with pytest.raises(DegenerateGradient, match="start point.* 0.5;"):
+            project_to_singular(model, [1.0, 0.0], pair)
+
+
 class TestMembership:
     def test_family_second_stratum(self):
         model = gallery_map("family_kn", {"k": 2, "n": 0, "dimZ": 0}).model
@@ -88,6 +96,12 @@ class TestMembership:
         pair = make_fibering_pair(model, np.zeros(4))
         members = [stratum_membership(model, np.zeros(4), h, pair)[0] for h in (1, 2, 3)]
         assert members == [True, True, True]
+
+    def test_negative_order_rejected(self):
+        model = gallery_map("fold_t2").model
+        pair = make_fibering_pair(model, [0.0, 0.7])
+        with pytest.raises(ValueError, match="at least 0"):
+            stratum_membership(model, [0.0, 0.7], -2, pair)
 
     def test_band_value_gives_indeterminate_membership(self):
         model = gallery_map("eps_perturbed", {"eps": 1e-4}).model
@@ -183,6 +197,12 @@ class TestSampling:
         sample = sample_stratum(model, np.zeros(2), pair, count=10, seed=2)
         # the whole axis consists of degenerate folds: J0 and J1 vanish
         assert all(h >= 2 for h in sample.h_membership)
+
+    def test_negative_count_rejected(self):
+        model = gallery_map("fold_t2").model
+        pair = make_fibering_pair(model, [0.0, 0.7])
+        with pytest.raises(ValueError, match="at least 0"):
+            sample_stratum(model, [0.0, 0.7], pair, count=-3)
 
     def test_deterministic_for_seed(self):
         model = gallery_map("fold_t2").model

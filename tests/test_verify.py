@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from singclass import jets
 from singclass.gallery import gallery_map
@@ -68,3 +69,11 @@ def test_base_point_is_linearized_once(monkeypatch):
     rec = verify_problem(model, u, trials=20, seed=7)
     assert rec.rescale_trials == 20 and rec.stratification is not None
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("trials", [0, -4])
+def test_trials_below_one_rejected(trials):
+    # a pass with no trials would claim an invariance that was never tested
+    model = gallery_map("fold_t2").model
+    with pytest.raises(ValueError, match="at least 1"):
+        verify_problem(model, np.zeros(2), trials=trials)
