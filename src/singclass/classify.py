@@ -44,9 +44,10 @@ class Tolerances:
     nonzero: float = 1e-3
 
     def __post_init__(self):
-        if min(self.rank, self.zero, self.nonzero) <= 0:
+        fields = (self.rank, self.zero, self.nonzero)
+        if not all(v > 0 for v in fields):  # NaN fails here too
             raise ValueError("tolerances must be positive")
-        if max(self.rank, self.zero, self.nonzero) >= 1:
+        if not all(v < 1 for v in fields):
             raise ValueError("tolerances must be below 1, or every value is negligible")
         if self.zero >= self.nonzero:
             raise ValueError("tol_zero must be strictly below tol_nonzero")

@@ -82,7 +82,10 @@ def _optional(convert: Callable) -> Callable:
 
 
 def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite int or float: NaN, +-inf and ints beyond the float range fail
+    (where ``math.isfinite`` would raise OverflowError)."""
+    finite = isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
+    return finite and not isinstance(v, bool)
 
 
 def _is_reals(v) -> bool:
@@ -90,12 +93,12 @@ def _is_reals(v) -> bool:
 
 
 _INT = _expect(lambda v: _is_real(v) and float(v).is_integer(), "an integer", int)
-_REAL = _expect(_is_real, "a number")
+_REAL = _expect(_is_real, "a finite number")
 _STR = _expect(lambda v: isinstance(v, str), "a string")
 _PARAMS = _expect(lambda v: isinstance(v, dict) and all(map(_is_real, v.values())),
-                  "a dict of numbers")
-_REALS = _expect(_is_reals, "a list of numbers", tuple)
-_FLOATS = _expect(_is_reals, "a list of numbers", lambda v: [float(x) for x in v])
+                  "a dict of finite numbers")
+_REALS = _expect(_is_reals, "a list of finite numbers", tuple)
+_FLOATS = _expect(_is_reals, "a list of finite numbers", lambda v: [float(x) for x in v])
 _TERMS = _expect(  # trigonometric terms
     lambda v: isinstance(v, (list, tuple)) and all(_is_reals(t) and len(t) == 3 for t in v),
     "a list of (frequency, cos_amp, sin_amp) triples", lambda v: tuple(map(tuple, v)))

@@ -23,6 +23,7 @@ F'(u0), the system is regular near any u0 with one small singular value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -188,9 +189,13 @@ class PointFunctionals:
             self.Fp0 = jets.jacobian(model, self.u)
         pair.prepare(self)
         self.phi0 = np.asarray(pair.phi(self, self.u, self.Fp0), dtype=float)
-        self.psi0 = np.asarray(pair.psi(self, self.u, self.Fp0), dtype=float)
         self._rows: dict[int, np.ndarray] = {}
         self._J: dict[int, float] = {}
+
+    @cached_property
+    def psi0(self) -> np.ndarray:
+        """psi(u), solved on first read: no decision reads it."""
+        return np.asarray(self.pair.psi(self, self.u, self.Fp0), dtype=float)
 
     # -- scalar J0 at an arbitrary (jet) point --------------------------------
 

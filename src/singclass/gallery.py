@@ -4,11 +4,18 @@ Every entry is a map of the local form (t, xi) |-> (f(t, xi), xi) whose
 leading component is a small polynomial; the expected classification of each
 listed base point is recorded as machine-readable fixture data, so the
 gallery doubles as the principal acceptance suite.
+
+All names but ``eps_perturbed`` are presets of one unfolding normal form,
+``family_kn``: f = t^n + sum_{h=1..k} x_h t^h on R^(k+1+dimZ).  ``fold_t2``
+and ``cusp_source_t3`` are (k, n, dimZ) = (0, 2, 1) and (0, 3, 1),
+``transverse_k`` and ``l2_truncated`` are (k, 0, dimZ), and ``whitney`` is
+(k-1, k+1, dimZ).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 from . import classify, jets
 from .errors import ParamOutOfRange, UnknownName
@@ -18,6 +25,18 @@ MAX_TOTAL_DIM = 32
 _PARAM_KEYS = {"fold_t2": (), "cusp_source_t3": (), "transverse_k": ("k", "N", "dimZ"),
                "l2_truncated": ("k", "N", "dimZ"), "family_kn": ("k", "n", "dimZ"),
                "whitney": ("k", "dimZ"), "eps_perturbed": ("eps",)}  # the keys each reads
+_PRESET_TEXT = {  # what a preset says in place of its family_kn member's fixture text
+    "fold_t2": dict(
+        description="points on the xi-axis", points=((0.0, 0.0), (0.0, 0.7), (0.0, -1.3)),
+        source="t^2 normal form: second t-derivative nonzero on the singular axis"),
+    "cusp_source_t3": dict(
+        description="points on the xi-axis", points=((0.0, 0.0), (0.0, 0.4)),
+        source="t^3 head with no unfolding terms: all first-order functional data vanish"),
+    "transverse_k": dict(
+        source="full unfolding with no pure power: order-k transverse, next row dependent"),
+    "whitney": dict(source="t^{k+1} head with complete lower-order unfolding"),
+}
+_PRESET_TEXT["l2_truncated"] = _PRESET_TEXT["transverse_k"]
 
 
 @dataclass(frozen=True)
@@ -73,8 +92,37 @@ def _int_param(params: dict, key: str, default) -> int:
     return int(value)
 
 
-def _origin(n: int) -> tuple[tuple[float, ...], ...]:
-    return (tuple(0.0 for _ in range(n)),)
+def _unfolding(name: str, params: dict, label: str, k: int, n_exp: int, dimz: int) -> GalleryEntry:
+    """The family_kn member (k, n_exp, dimz), entered as ``name``: checks dimZ
+    and the total dimension, and gives a preset its own fixture text."""
+    _check(dimz >= 0, "dimZ must be >= 0")
+    n = k + 1 + dimz
+    _check(n <= MAX_TOTAL_DIM, f"total dimension {n} exceeds {MAX_TOTAL_DIM}")
+    model = _ls_polynomial_model(n, _unfolding_head(k, n_exp), label)
+    expected = replace(_family_expected(k, n_exp, n), **_PRESET_TEXT.get(name, {}))
+    return GalleryEntry(name, params, model, (expected,))
+
+
+def _eps_perturbed(eps: float) -> GalleryEntry:
+    """Head t*xi - (eps/2) t^2, whose singular points lie on the line xi = eps*t."""
+
+    def head(x):
+        t = jets.comp(x, 0)
+        xi = jets.comp(x, 1)
+        return t * xi - jets.powi(t, 2) * (eps / 2.0)
+
+    ts = (0.0, 0.6, -1.1)
+    if eps == 0.0:
+        expected = ExpectedPoints(
+            "points on the t-axis", tuple((t, 0.0) for t in ts), classify.MAXIMAL_K_TRANSVERSE, 1,
+            "t*xi head: singular line of degenerate folds, destroyed by perturbation")
+    else:
+        expected = ExpectedPoints(
+            "points on the line xi = eps*t", tuple((t, eps * t) for t in ts),
+            classify.K_SINGULARITY, 1,
+            "quadratic perturbation makes every singular point an ordinary fold")
+    model = _ls_polynomial_model(2, head, f"eps_perturbed(eps={eps:g})")
+    return GalleryEntry("eps_perturbed", {"eps": eps}, model, (expected,))
 
 
 def gallery_map(name: str, params: dict | None = None) -> GalleryEntry:
@@ -83,153 +131,53 @@ def gallery_map(name: str, params: dict | None = None) -> GalleryEntry:
     ``_PARAM_KEYS`` lists the names and the parameters each reads; any other
     key raises ``ParamOutOfRange``.  Parameters k, N, n and dimZ are integers
     (integral floats pass) with k <= 8, exponent n <= 12, dimZ >= 0 and total
-    dimension <= 32.
+    dimension <= 32; eps is finite.
     """
     if name not in _PARAM_KEYS:
         raise UnknownName(f"unknown gallery map {name!r}")
     params = dict(params or {})
     for key in params:
         _check(key in _PARAM_KEYS[name], f"{name} has no parameter {key!r}")
-    if name == "fold_t2":
-        model = _ls_polynomial_model(2, lambda x: jets.powi(jets.comp(x, 0), 2), "fold_t2")
-        expected = (
-            ExpectedPoints(
-                "points on the xi-axis",
-                ((0.0, 0.0), (0.0, 0.7), (0.0, -1.3)),
-                classify.K_SINGULARITY,
-                1,
-                "t^2 normal form: second t-derivative nonzero on the singular axis",
-            ),
-        )
-        return GalleryEntry(name, {}, model, expected)
-
-    if name == "cusp_source_t3":
-        model = _ls_polynomial_model(2, lambda x: jets.powi(jets.comp(x, 0), 3), "cusp_source_t3")
-        expected = (
-            ExpectedPoints(
-                "points on the xi-axis",
-                ((0.0, 0.0), (0.0, 0.4)),
-                classify.NOT_ONE_TRANSVERSE,
-                None,
-                "t^3 head with no unfolding terms: all first-order functional data vanish",
-            ),
-        )
-        return GalleryEntry(name, {}, model, expected)
-
-    if name in ("transverse_k", "l2_truncated"):
-        k = _int_param(params, "k", _int_param(params, "N", 2))
-        dimz = _int_param(params, "dimZ", 0)
-        _check(1 <= k <= 8, "k must be in 1..8")
-        _check(dimz >= 0, "dimZ must be >= 0")
-        n = k + 1 + dimz
-        _check(n <= MAX_TOTAL_DIM, f"total dimension {n} exceeds {MAX_TOTAL_DIM}")
-        label = f"{name}(k={k},dimZ={dimz})"
-        model = _ls_polynomial_model(n, _unfolding_head(k, 0), label)
-        expected = (
-            ExpectedPoints(
-                "origin",
-                _origin(n),
-                classify.MAXIMAL_K_TRANSVERSE,
-                k,
-                "full unfolding with no pure power: order-k transverse, next row dependent",
-            ),
-        )
-        key = "N" if name == "l2_truncated" else "k"
-        return GalleryEntry(name, {key: k, "dimZ": dimz}, model, expected)
-
+    if name == "eps_perturbed":
+        eps = float(params.get("eps", 0.0))
+        _check(math.isfinite(eps), f"eps must be finite, got {eps!r}")
+        return _eps_perturbed(eps)
+    if name in ("fold_t2", "cusp_source_t3"):
+        return _unfolding(name, {}, name, 0, 2 if name == "fold_t2" else 3, 1)
     if name == "family_kn":
         k = _int_param(params, "k", 1)
         n_exp = _int_param(params, "n", 0)
         dimz = _int_param(params, "dimZ", 1)
         _check(0 <= k <= 8, "k must be in 0..8")
         _check(0 <= n_exp <= 12, "n must be in 0..12")
-        _check(dimz >= 0, "dimZ must be >= 0")
-        n = k + 1 + dimz
-        _check(n <= MAX_TOTAL_DIM, f"total dimension {n} exceeds {MAX_TOTAL_DIM}")
         label = f"family_kn(k={k},n={n_exp},dimZ={dimz})"
-        model = _ls_polynomial_model(n, _unfolding_head(k, n_exp), label)
-        expected = (_family_expected(k, n_exp, n),)
-        return GalleryEntry(name, {"k": k, "n": n_exp, "dimZ": dimz}, model, expected)
-
+        return _unfolding(name, {"k": k, "n": n_exp, "dimZ": dimz}, label, k, n_exp, dimz)
+    # whitney, transverse_k and l2_truncated, whose N is an alias of k
+    k = _int_param(params, "k", 1 if name == "whitney" else _int_param(params, "N", 2))
+    dimz = _int_param(params, "dimZ", 0)
+    _check(1 <= k <= 8, "k must be in 1..8")
+    label = f"{name}(k={k},dimZ={dimz})"
     if name == "whitney":
-        k = _int_param(params, "k", 1)
-        dimz = _int_param(params, "dimZ", 0)
-        _check(1 <= k <= 8, "k must be in 1..8")
-        _check(dimz >= 0, "dimZ must be >= 0")
-        n = k + dimz
-        _check(n <= MAX_TOTAL_DIM, f"total dimension {n} exceeds {MAX_TOTAL_DIM}")
-        label = f"whitney(k={k},dimZ={dimz})"
-        model = _ls_polynomial_model(n, _unfolding_head(k - 1, k + 1), label)
-        expected = (
-            ExpectedPoints(
-                "origin",
-                _origin(n),
-                classify.K_SINGULARITY,
-                k,
-                "t^{k+1} head with complete lower-order unfolding",
-            ),
-        )
-        return GalleryEntry(name, {"k": k, "dimZ": dimz}, model, expected)
-
-    if name == "eps_perturbed":
-        eps = float(params.get("eps", 0.0))
-
-        def head(x):
-            t = jets.comp(x, 0)
-            xi = jets.comp(x, 1)
-            return t * xi - jets.powi(t, 2) * (eps / 2.0)
-
-        model = _ls_polynomial_model(2, head, f"eps_perturbed(eps={eps:g})")
-        if eps == 0.0:
-            expected = (
-                ExpectedPoints(
-                    "points on the t-axis",
-                    ((0.0, 0.0), (0.6, 0.0), (-1.1, 0.0)),
-                    classify.MAXIMAL_K_TRANSVERSE,
-                    1,
-                    "t*xi head: singular line of degenerate folds, destroyed by perturbation",
-                ),
-            )
-        else:
-            pts = tuple((t, eps * t) for t in (0.0, 0.6, -1.1))
-            expected = (
-                ExpectedPoints(
-                    "points on the line xi = eps*t",
-                    pts,
-                    classify.K_SINGULARITY,
-                    1,
-                    "quadratic perturbation makes every singular point an ordinary fold",
-                ),
-            )
-        return GalleryEntry(name, {"eps": eps}, model, expected)
+        return _unfolding(name, {"k": k, "dimZ": dimz}, label, k - 1, k + 1, dimz)
+    key = "N" if name == "l2_truncated" else "k"  # l2_truncated echoes N
+    return _unfolding(name, {key: k, "dimZ": dimz}, label, k, 0, dimz)
 
 
 def _family_expected(k: int, n_exp: int, n: int) -> ExpectedPoints:
-    origin = _origin(n)
+    """The verdict of the family_kn member (k, n_exp) at the origin of R^n."""
     if n_exp == 1:
-        return ExpectedPoints(
-            "origin", origin, classify.REGULAR, None,
-            "linear head: the derivative is an isomorphism",
-        )
-    if k == 0:
-        if n_exp == 2:
-            return ExpectedPoints(
-                "origin", origin, classify.K_SINGULARITY, 1,
-                "pure t^2 head: ordinary fold",
-            )
-        return ExpectedPoints(
-            "origin", origin, classify.NOT_ONE_TRANSVERSE, None,
-            "no unfolding terms and head flatter than t^2",
-        )
-    if n_exp == 0 or n_exp >= k + 3:
-        return ExpectedPoints(
-            "origin", origin, classify.MAXIMAL_K_TRANSVERSE, k,
-            "head does not interfere below order k+2: maximal k-transverse",
-        )
-    return ExpectedPoints(
-        "origin", origin, classify.K_SINGULARITY, n_exp - 1,
-        "t^n head dominates: ordinary singularity of order n-1",
-    )
+        verdict = classify.REGULAR, None, "linear head: the derivative is an isomorphism"
+    elif k == 0 and n_exp == 2:
+        verdict = classify.K_SINGULARITY, 1, "pure t^2 head: ordinary fold"
+    elif k == 0:
+        verdict = classify.NOT_ONE_TRANSVERSE, None, "no unfolding terms and head flatter than t^2"
+    elif n_exp == 0 or n_exp >= k + 3:
+        verdict = (classify.MAXIMAL_K_TRANSVERSE, k,
+                   "head does not interfere below order k+2: maximal k-transverse")
+    else:
+        verdict = (classify.K_SINGULARITY, n_exp - 1,
+                   "t^n head dominates: ordinary singularity of order n-1")
+    return ExpectedPoints("origin", ((0.0,) * n,), *verdict)
 
 
 def default_entries() -> list[GalleryEntry]:

@@ -80,11 +80,18 @@ class TestHysteresis:
         with pytest.raises(ValueError):
             Tolerances(zero=1e-3, nonzero=1e-3)
 
-    @pytest.mark.parametrize("field, value", [("rank", 2.0), ("zero", 1.0), ("nonzero", 1.5)])
+    @pytest.mark.parametrize("field, value", [("rank", 2.0), ("zero", 1.0), ("nonzero", 1.5),
+                                              ("nonzero", float("inf"))])
     def test_tolerance_of_one_or_more_rejected(self, field, value):
         # under the max(1, .) floor such a tolerance makes every value negligible
         with pytest.raises(ValueError, match="below 1"):
             Tolerances(**{field: value})
+
+    @pytest.mark.parametrize("field", ["rank", "zero", "nonzero"])
+    def test_nan_tolerance_rejected(self, field):
+        # NaN passes no comparison, so every value would be judged not negligible
+        with pytest.raises(ValueError, match="must be positive"):
+            Tolerances(**{field: float("nan")})
 
     def test_zero_states_judge_against_the_largest_value(self):
         tol = Tolerances(zero=1e-6, nonzero=1e-3)

@@ -357,6 +357,24 @@ class TestOutOfRangeSettings:
          "stratum order h must be at least 0"),
         (["strata", "--gallery", "fold_t2", "--point", "0.3,0.7", "--samples", "-3"],
          "sample count must be at least 0"),
+        # every number must be finite; the error names the config key
+        (["classify", "--gallery", "whitney", "--param", "k=2", "--tol-rank", "nan"],
+         "tol.rank: expected a finite number"),
+        (["classify", "--gallery", "whitney", "--param", "k=2", "--tol-zero", "nan"],
+         "tol.zero: expected a finite number"),
+        (["classify", "--gallery", "fold_t2", "--tol-nonzero", "inf"],
+         "tol.nonzero: expected a finite number"),
+        (["strata", "--gallery", "fold_t2", "--point", "0.3,nan"],
+         "point: expected a list of finite numbers"),
+        (["classify", "--gallery", "fold_t2", "--point", "nan,0"],
+         "point: expected a list of finite numbers"),
+        (["classify", "--gallery", "eps_perturbed", "--param", "eps=nan"],
+         "problem.params: expected a dict of finite numbers"),
+        (["classify", "--gallery", "eps_perturbed", "--param", "eps=inf"],
+         "problem.params: expected a dict of finite numbers"),
+        (["classify", "--gallery", "whitney", "--param", "k=1" + "0" * 400],
+         "problem.params: expected a dict of finite numbers"),
+        (["bvp", "--bvp-n", "32", "--bvp-a", "[(1,0.0,1e400)]"], "bvp.a: expected a list"),
     ])
     def test_exits_one(self, tmp_path, capsys, args, message):
         out = tmp_path / "r.txt"

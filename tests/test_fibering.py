@@ -344,6 +344,24 @@ class TestBorderedTestFunction:
         j0 = PointFunctionals(model, pair, [0.0, 0.0]).J(0)
         assert j0 == 0.0 and np.copysign(1.0, j0) == 1.0
 
+    def test_psi0_is_solved_on_first_read_only(self, monkeypatch):
+        calls = []
+        solve = linalg.bordered_solve
+
+        def recording(A, *args, trans=0, **kwargs):
+            calls.append(trans)
+            return solve(A, *args, trans=trans, **kwargs)
+
+        monkeypatch.setattr(linalg, "bordered_solve", recording)
+        model = gallery_map("whitney", {"k": 2, "dimZ": 0}).model
+        pf = PointFunctionals(model, make_fibering_pair(model, np.zeros(2)), np.zeros(2))
+        for k in range(3):
+            pf.J(k)
+        assert 0 in calls and 1 not in calls
+        psi0 = pf.psi0
+        assert pf.psi0 is psi0 and calls.count(1) == 1  # solved once, then cached
+        assert abs(psi0[0]) > 0.9 and abs(psi0[1]) < 1e-12
+
     @pytest.mark.parametrize("model, u", [
         (gallery_map("whitney", {"k": 3, "dimZ": 0}).model, np.zeros(3)),
         (quartic_bvp(32), np.zeros(32)),

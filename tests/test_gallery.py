@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from singclass import jets
 from singclass.errors import ParamOutOfRange, UnknownName
 from singclass.gallery import default_entries, gallery_map, list_gallery
 
@@ -62,17 +63,40 @@ def test_expected_fixtures_have_points_and_notes():
                 assert len(p) == entry.model.n
 
 
+PRESETS = [  # (preset, params, its family_kn member's (k, n, dimZ))
+    ("fold_t2", {}, (0, 2, 1)),
+    ("cusp_source_t3", {}, (0, 3, 1)),
+    *[(name, {key: k, "dimZ": dimz}, (k, 0, dimz)) for k in (1, 2, 4, 8) for dimz in (0, 3)
+      for name, key in (("transverse_k", "k"), ("l2_truncated", "N"))],
+    *[("whitney", {"k": k, "dimZ": dimz}, (k - 1, k + 1, dimz)) for k in (1, 2, 5, 8)
+      for dimz in (0, 2)],
+]
+
+
 def test_truncated_series_model_equals_unfolding_model():
-    """The N-mode truncation of the series map is the same polynomial map as
-    the plain unfolding with k = N (checked by evaluation)."""
+    """Every preset is its family_kn member: the same values, jets of order 4
+    and Jacobians bit for bit, and the same expected verdict."""
     rng = np.random.default_rng(2)
-    for N in (2, 3, 4):
-        trunc = gallery_map("l2_truncated", {"N": N}).model
-        plain = gallery_map("transverse_k", {"k": N}).model
-        assert trunc.n == plain.n
-        for _ in range(10):
-            u = rng.standard_normal(trunc.n)
-            np.testing.assert_allclose(trunc(u), plain(u), atol=1e-14)
+    for name, params, (k, n, dimz) in PRESETS:
+        preset = gallery_map(name, params)
+        member = gallery_map("family_kn", {"k": k, "n": n, "dimZ": dimz})
+        assert preset.model.n == member.model.n
+        assert [(e.kind, e.k) for e in preset.expected] == [(e.kind, e.k) for e in member.expected]
+        for _ in range(3):
+            u = rng.standard_normal(preset.model.n)
+            assert np.array_equal(preset.model(u), member.model(u))
+            assert np.array_equal(jets.jacobian(preset.model, u), jets.jacobian(member.model, u))
+            v = rng.standard_normal(u.size)
+            x = jets.constant(u, ["s"], [4]) + jets.unit(["s"], [4], "s") * v
+            pj, mj = preset.model.eval(x), member.model.eval(x)
+            for order in range(5):
+                assert np.array_equal(pj.extract({"s": order}), mj.extract({"s": order}))
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_eps_rejected(eps):
+    with pytest.raises(ParamOutOfRange, match="eps must be finite"):
+        gallery_map("eps_perturbed", {"eps": eps})
 
 
 def test_whitney_head_formula():

@@ -1,6 +1,7 @@
 """The jet coefficient layout is private to ``jets``: other modules work on
 jets through its functions and methods, never on the coefficient array.
-Every zero, rank and regularity decision reads ``linalg.negligible``."""
+Every zero, rank and regularity decision reads ``linalg.negligible``, and
+every gallery map but one is built by the one unfolding builder."""
 
 import ast
 import re
@@ -27,6 +28,16 @@ def _enclosing_function(tree: ast.AST, line: int) -> str | None:
     spans = [(node.lineno, node.name) for node in ast.walk(tree)
              if isinstance(node, ast.FunctionDef) and node.lineno <= line <= node.end_lineno]
     return max(spans)[1] if spans else None
+
+
+def test_gallery_builds_every_map_in_two_places():
+    """Every polynomial entry is a member of the one unfolding normal form,
+    built by ``_unfolding``; ``eps_perturbed`` is the only other map."""
+    tree = ast.parse((SRC / "gallery.py").read_text())
+    callers = sorted(_enclosing_function(tree, node.lineno) for node in ast.walk(tree)
+                     if isinstance(node, ast.Call) and getattr(node.func, "id", None)
+                     == "_ls_polynomial_model")
+    assert callers == ["_eps_perturbed", "_unfolding"]
 
 
 def test_one_decision_rule():
