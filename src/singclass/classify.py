@@ -34,7 +34,7 @@ MAXIMAL_K_TRANSVERSE = "MaximalKTransverse"
 TRANSVERSE_UP_TO_CAP = "TransverseUpToCap"
 INDETERMINATE = "Indeterminate"
 
-K_CAP_MAX = jets.NESTING_CAP  # rows up to I_{k_cap} stay within the nesting cap
+K_CAP_MAX = jets.NESTING_CAP  # the depth cap of PointFunctionals.row (I_k: s-order k - 1)
 
 
 @dataclass(frozen=True)

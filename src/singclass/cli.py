@@ -99,9 +99,11 @@ _PARAMS = _expect(lambda v: isinstance(v, dict) and all(map(_is_real, v.values()
                   "a dict of finite numbers")
 _REALS = _expect(_is_reals, "a list of finite numbers", tuple)
 _FLOATS = _expect(_is_reals, "a list of finite numbers", lambda v: [float(x) for x in v])
-_TERMS = _expect(  # trigonometric terms
-    lambda v: isinstance(v, (list, tuple)) and all(_is_reals(t) and len(t) == 3 for t in v),
-    "a list of (frequency, cos_amp, sin_amp) triples", lambda v: tuple(map(tuple, v)))
+_TERMS = _expect(  # trigonometric terms of 1-periodic functions
+    lambda v: isinstance(v, (list, tuple)) and all(
+        _is_reals(t) and len(t) == 3 and float(t[0]).is_integer() for t in v),
+    "a list of (integer frequency, cos_amp, sin_amp) triples",
+    lambda v: tuple((int(f), a, b) for f, a, b in v))
 
 
 class ConfigKey(NamedTuple):

@@ -18,10 +18,16 @@ the data every classification decision consumes.  For the bordered pair
 J0 = -s, the test function of the phi solve (Griewank & Reddien 1984), so psi
 is solved only at the base point.  Bordered by the last singular pair of
 F'(u0), the system is regular near any u0 with one small singular value.
+
+J_{k-1} is (k-1)! times the s^(k-1) coefficient of J0(Phi_s(u)), Phi_s the
+flow of phi, so every row comes from one Taylor expansion of the flow:
+Picard passes x <- u + int_0^s phi(x), each exact through one more degree in
+s (Griewank & Walther, *Evaluating Derivatives*, SIAM 2008, ch. 13).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -55,6 +61,10 @@ class PairBase:
         y = self.psi(pf, x, Fp) * jets.matvec(Fp, self.phi(pf, x, Fp))
         return y.vsum() if isinstance(y, Jet) else float(np.sum(y))
 
+    def phi_j0(self, pf: "PointFunctionals", x, Fp):
+        """(phi, J0) at a plain or jet point."""
+        return self.phi(pf, x, Fp), self.j0(pf, x, Fp)
+
 
 @dataclass(frozen=True)
 class FiberingPair(PairBase):
@@ -79,14 +89,15 @@ class FiberingPair(PairBase):
                                      lu_piv=pf.border_lu, trans=trans)
 
     def phi(self, pf, x, Fp):
-        return self._solve(pf, Fp, 0)[0] * self.phi_scale
+        return self.phi_j0(pf, x, Fp)[0]
 
     def psi(self, pf, x, Fp):
         return self._solve(pf, Fp, 1)[0] * self.psi_scale
 
-    def j0(self, pf, x, Fp):
-        """-s of the phi solve (0.0, not -0.0, when s is zero)."""
-        return 0.0 - self._solve(pf, Fp, 0)[1] * self.phi_scale * self.psi_scale
+    def phi_j0(self, pf, x, Fp):
+        """phi and -s from one solve (J0 is 0.0, not -0.0, when s is zero)."""
+        phi, s = self._solve(pf, Fp, 0)
+        return phi * self.phi_scale, 0.0 - s * self.phi_scale * self.psi_scale
 
     def with_normalization(self, phi_scale: float, psi_scale: float) -> "FiberingPair":
         return FiberingPair(self.base_point, self.border_b, self.border_c, phi_scale, psi_scale)
@@ -145,8 +156,10 @@ class RescaledPair(PairBase):
     def psi(self, pf, x, Fp):
         return self.inner.psi(pf, x, Fp) * self.beta(x)
 
-    def j0(self, pf, x, Fp):
-        return self.inner.j0(pf, x, Fp) * self.alpha(x) * self.beta(x)
+    def phi_j0(self, pf, x, Fp):
+        phi, j0 = self.inner.phi_j0(pf, x, Fp)
+        alpha = self.alpha(x)
+        return phi * alpha, j0 * alpha * self.beta(x)
 
 
 @dataclass(frozen=True)
@@ -172,10 +185,11 @@ class ExplicitPair(PairBase):
 class PointFunctionals:
     """Fibering functionals of one (model, pair) anchored at one point.
 
-    Rows I_k are gradients of J_{k-1}: each component is one nested-jet
-    evaluation with a probe direction (probes are batched through a leading
-    value axis), and J_k = I_k . phi(u).  ``u`` is a plain point or the
-    point's ``linalg.Linearization``, whose F'(u) is then reused.
+    Row I_k = grad J_{k-1} is (k-1)! times the eps s^(k-1) coefficient of
+    J0(Phi_s(u + eps v)), batched over probe directions v along a leading
+    value axis; J_k = I_k . phi(u).  The flow is kept per probe chunk, so row
+    k+1 costs one Jacobian and one bordered solve more than row k.  ``u`` is a
+    plain point or its ``linalg.Linearization``, whose F'(u) is then reused.
     """
 
     def __init__(self, model: MapModel, pair: PairBase, u, tol: float = linalg.DEFAULT_RANK_TOL):
@@ -188,61 +202,54 @@ class PointFunctionals:
             self.u = np.asarray(u, dtype=float)
             self.Fp0 = jets.jacobian(model, self.u)
         pair.prepare(self)
-        self.phi0 = np.asarray(pair.phi(self, self.u, self.Fp0), dtype=float)
+        phi0, j0 = pair.phi_j0(self, self.u, self.Fp0)
+        self.phi0 = np.asarray(phi0, dtype=float)
+        self._J: dict[int, float] = {0: float(j0)}
         self._rows: dict[int, np.ndarray] = {}
-        self._J: dict[int, float] = {}
+        self._eps, self._s = jets.fresh_name("grad"), jets.fresh_name("flow")
+        self._flow: list[list] = []  # per probe chunk: [u + eps v, phi at the last flow jet]
 
     @cached_property
     def psi0(self) -> np.ndarray:
         """psi(u), solved on first read: no decision reads it."""
         return np.asarray(self.pair.psi(self, self.u, self.Fp0), dtype=float)
 
-    # -- scalar J0 at an arbitrary (jet) point --------------------------------
-
-    def j0_at(self, x):
-        return self.pair.j0(self, x, jets.jacobian(self.model, x))
-
-    def _phi_field(self, x):
-        Fp = jets.jacobian(self.model, x)
-        return self.pair.phi(self, x, Fp)
-
     # -- rows and values -------------------------------------------------------
 
     def J(self, k: int) -> float:
         if k not in self._J:
-            if k == 0:
-                self._J[0] = float(self.pair.j0(self, self.u, self.Fp0))
-            else:
-                self._J[k] = float(np.dot(self.row(k), self.phi0))
+            self._J[k] = float(np.dot(self.row(k), self.phi0))
         return self._J[k]
 
     def row(self, k: int) -> np.ndarray:
-        """I_k(u) as a length-n row vector (gradient of J_{k-1})."""
-        if k in self._rows:
-            return self._rows[k]
+        """I_k(u) as a length-n row vector (gradient of J_{k-1}); rows
+        I_1 .. I_k are computed in order."""
         if k > jets.NESTING_CAP:
-            raise DepthCapExceeded(f"row {k} needs nesting depth beyond {jets.NESTING_CAP}")
+            raise DepthCapExceeded(f"row {k} is beyond the depth cap {jets.NESTING_CAP}")
         if k > self.model.d - 1:
             raise OrderExceedsSmoothness(f"row {k} undefined for smoothness {self.model.d}")
-        n = self.model.n
-        depth = k - 1
-        names = [jets.fresh_name("grad")] + [jets.fresh_name("lie") for _ in range(depth)]
-        orders = (1,) * len(names)
-        chunk = max(1, _ROW_BATCH_BUDGET // (n * n * 2 ** (len(names) + 1)))
-        out = np.zeros(n)
-        eye = np.eye(n)
-        for start in range(0, n, chunk):
-            basis = eye[start : start + chunk]
-            x = jets.constant(np.broadcast_to(self.u, basis.shape).copy(), names, orders)
-            x = x + jets.unit(names, orders, names[0]) * basis
-            for name in names[1:]:
-                x = x + jets.unit(names, orders, name) * self._phi_field(x)
-            val = self.j0_at(x)
-            out[start : start + chunk] = np.atleast_1d(
-                val.extract({name: 1 for name in names})
-            )
-        self._rows[k] = out
-        return out
+        while len(self._rows) < k:
+            self._next_row()
+        return self._rows[k]
+
+    def _next_row(self) -> None:
+        """Row k = len(rows) + 1 from the flow jet x_k = u + eps v + int_0^s
+        phi(x_{k-1}), exact through s^(k-1); keeps phi(x_k) for row k+1."""
+        n, k = self.model.n, len(self._rows) + 1
+        if k == 1:  # eps alone: a point that stops at I_1 pays for no s axis
+            deepest = min(jets.NESTING_CAP, self.model.d - 1)  # s-coefficients of the last row
+            chunk = max(1, _ROW_BATCH_BUDGET // (n * n * 2 * deepest))  # its F'(x) jet per probe
+            eps = jets.unit((self._eps,), (1,), self._eps)
+            self._flow = [[eps * np.eye(n)[start : start + chunk] + self.u, None]
+                          for start in range(0, n, chunk)]
+        grads = []
+        for rec in self._flow:
+            x, phi = rec
+            if phi is not None:
+                x = x.extend((self._eps, self._s), (1, k - 1)) + jets.integrate(phi, self._s, k - 1)
+            rec[1], j0 = self.pair.phi_j0(self, x, jets.jacobian(self.model, x))
+            grads.append(j0.extract({self._eps: 1, self._s: k - 1}) * math.factorial(k - 1))
+        self._rows[k] = np.concatenate(grads)
 
 
 def bordered_pair(model: MapModel, u0, tol: float = linalg.DEFAULT_RANK_TOL) -> FiberingPair:

@@ -259,6 +259,21 @@ def add_diag(A, d) -> "Jet | np.ndarray":
     return Jet(d.vars, d.orders, out) if isinstance(d, Jet) else out
 
 
+def integrate(x: Jet, name: str, order: int) -> Jet:
+    """Antiderivative of ``x`` in ``name`` that vanishes at name = 0, truncated
+    at ``order`` in it: c_j name^j becomes c_j name^(j+1) / (j+1).  A variable
+    outside the context is appended (``x`` is constant in it)."""
+    if name not in x.vars:
+        x = x.extend(x.vars + (name,), x.orders + (0,))
+    i = x.vars.index(name)
+    coeffs = np.moveaxis(x.coeffs, x.value_ndim + i, -1)
+    m = min(order, x.orders[i] + 1)  # coefficients that stay inside the truncation
+    out = np.zeros(coeffs.shape[:-1] + (order + 1,))
+    out[..., 1 : m + 1] = coeffs[..., :m] / np.arange(1, m + 1)
+    orders = x.orders[:i] + (order,) + x.orders[i + 1 :]
+    return Jet(x.vars, orders, np.moveaxis(out, -1, x.value_ndim + i))
+
+
 def unit(variables: Sequence[str], orders: Sequence[int], name: str) -> Jet:
     """The scalar jet of one variable inside a larger context."""
     variables = tuple(variables)

@@ -3,6 +3,7 @@ Lie derivatives, transformed pairs) and map builders."""
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -116,10 +117,31 @@ def nested_lie_derivative(scalar_field: Callable, vector_field: Callable, u, dep
     return float(lie_value(scalar_field, vector_field, np.asarray(u, dtype=float), depth))
 
 
+def j0_at(pf: PointFunctionals, x):
+    """J_0 of ``pf``'s pair at a plain or jet point."""
+    return pf.pair.phi_j0(pf, x, jets.jacobian(pf.model, x))[1]
+
+
+def phi_field(pf: PointFunctionals, x):
+    """The kernel field of ``pf``'s pair at a plain or jet point."""
+    return pf.pair.phi(pf, x, jets.jacobian(pf.model, x))
+
+
 def lie_J(pf: PointFunctionals, k: int) -> float:
     """J_k of ``pf`` recomputed as a depth-k nested Lie derivative of J_0
     along the pair's kernel field (the cross-check of ``pf.J``)."""
-    return float(lie_value(pf.j0_at, pf._phi_field, pf.u, k))
+    return float(lie_value(partial(j0_at, pf), partial(phi_field, pf), pf.u, k))
+
+
+def nested_row(pf: PointFunctionals, k: int) -> np.ndarray:
+    """I_k of ``pf`` as the gradient of the depth-(k-1) nested Lie derivative
+    of J_0, all n probe directions in one batch (the oracle of ``pf.row``)."""
+    n = pf.model.n
+    g = jets.fresh_name("grad")
+    x0 = jets.constant(np.broadcast_to(pf.u, (n, n)).copy(), (g,), (1,))
+    x0 = x0 + jets.unit((g,), (1,), g) * np.eye(n)
+    val = lie_value(partial(j0_at, pf), partial(phi_field, pf), x0, k - 1)
+    return np.asarray(val.extract({g: 1}), dtype=float)
 
 
 class TransformedPair(PairBase):

@@ -375,6 +375,11 @@ class TestOutOfRangeSettings:
         (["classify", "--gallery", "whitney", "--param", "k=1" + "0" * 400],
          "problem.params: expected a dict of finite numbers"),
         (["bvp", "--bvp-n", "32", "--bvp-a", "[(1,0.0,1e400)]"], "bvp.a: expected a list"),
+        # a frequency must be integral: sin(pi t) is not 1-periodic
+        (["bvp", "--bvp-n", "32", "--bvp-a", "[(0.5,0.0,1.0)]", "--bvp-p", "[(0,1.0,0.0)]"],
+         "bvp.a: expected a list of (integer frequency"),
+        (["bvp", "--bvp-n", "32", "--bvp-a", "[(1,0.0,1.0)]", "--bvp-p", "[(0.5,1.0,0.0)]"],
+         "bvp.p: expected a list of (integer frequency"),
     ])
     def test_exits_one(self, tmp_path, capsys, args, message):
         out = tmp_path / "r.txt"

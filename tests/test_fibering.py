@@ -10,6 +10,7 @@ from singclass.fibering import (
     PairBase,
     PointFunctionals,
     ScaleSpec,
+    bordered_pair,
     make_fibering_pair,
     rescale_pair,
 )
@@ -17,7 +18,8 @@ from singclass.gallery import gallery_map
 from singclass.linalg import linearize, rank_decision
 from singclass.model import conjugate, random_affine_pair
 
-from helpers import identity_affine, lie_J, pair_transform
+from helpers import identity_affine, lie_J, nested_row, pair_transform
+from test_acceptance import INVARIANCE_FIXTURES, classification_table
 
 TOL = Tolerances()
 
@@ -315,8 +317,9 @@ def coeffs(v) -> np.ndarray:
 
 
 class TestBorderedTestFunction:
-    """J0 = psi F' phi equals -s of the phi solve (scaled by the pair's
-    normalization and rescaling), at plain and jet points."""
+    """The J0 that ``phi_j0`` returns with phi, for the bordered pair -s of
+    the phi solve (scaled by the pair's normalization and rescaling), equals
+    psi F' phi at plain and jet points."""
 
     @pytest.mark.parametrize("label", ["whitney", "bvp", "bvp~affine"])
     def test_pair_j0_equals_generic_contraction(self, label):
@@ -332,7 +335,9 @@ class TestBorderedTestFunction:
             pf = PointFunctionals(model, pair, u)
             for point in (u, x):
                 Fp = jets.jacobian(model, point)
-                got, want = coeffs(pair.j0(pf, point, Fp)), coeffs(PairBase.j0(pair, pf, point, Fp))
+                phi, got = pair.phi_j0(pf, point, Fp)
+                got, want = coeffs(got), coeffs(PairBase.j0(pair, pf, point, Fp))
+                np.testing.assert_array_equal(coeffs(phi), coeffs(pair.phi(pf, point, Fp)))
                 terms = [np.linalg.norm(coeffs(v)) for v in
                          (pair.psi(pf, point, Fp), Fp, pair.phi(pf, point, Fp))]
                 assert np.max(np.abs(want)) > 1e-6 * np.prod(terms), (key, "J0 vanishes here")
@@ -379,3 +384,101 @@ class TestBorderedTestFunction:
         assert c.kind == "KSingularity" and c.k == 3
         assert (True, 0) in calls
         assert (True, 1) not in calls
+
+
+def gallery_table_points():
+    """(name, params, point, deepest row the classifier reads) for every point
+    of the gallery table."""
+    return [(name, params, point, min(6, (exp.k or 0) + 1))
+            for name, params in classification_table()
+            for exp in gallery_map(name, params).expected for point in exp.points]
+
+
+def invariance_pairs(model, u, seed):
+    """(model, point, pair) under the bordered pair, a renormalized pair, a
+    constant and a quadratic rescaling, and an affine change of coordinates."""
+    rng = np.random.default_rng(seed)
+    pair = make_fibering_pair(model, u)
+    n = model.n
+    Q = 0.1 * rng.standard_normal((n, n))
+    affine = random_affine_pair(n, rng)
+    moved = conjugate(model, affine)
+    return [
+        (model, u, pair),
+        (model, u, pair.with_normalization(2.5, -0.4)),
+        (model, u, rescale_pair(pair, ScaleSpec(2.0), ScaleSpec(-0.7))),
+        (model, u, rescale_pair(pair, ScaleSpec(1.5, quad=(Q + Q.T) / 2, center=u),
+                                ScaleSpec(-0.8, quad=Q @ Q.T, center=u))),
+        (moved, np.asarray(affine.apply_gamma(u)), pair_transform(pair, affine, model, moved)),
+    ]
+
+
+def assert_rows_match_nested(model, u, pair, k_max):
+    """Rows I_1 .. I_k_max from the flow equal the nested Lie-derivative rows
+    to 1e-12 relative to the largest row so far: a row that vanishes in exact
+    arithmetic holds rounding noise at the scale of the rows before it."""
+    pf, oracle = PointFunctionals(model, pair, u), PointFunctionals(model, pair, u)
+    want = [nested_row(oracle, k) for k in range(1, k_max + 1)]
+    for k, w in enumerate(want, 1):
+        scale = max(np.linalg.norm(v) for v in want[:k])
+        assert np.linalg.norm(pf.row(k) - w) <= 1e-12 * scale, (pair.pair_id, k)
+
+
+class TestFlowRows:
+    """Rows from one Taylor flow along phi against the nested oracle."""
+
+    @pytest.mark.parametrize("name, params, point, k_max", gallery_table_points(),
+                             ids=lambda v: str(v) if not isinstance(v, dict) else None)
+    def test_gallery_table_rows(self, name, params, point, k_max):
+        model = gallery_map(name, params).model
+        u = np.array(point)
+        assert_rows_match_nested(model, u, bordered_pair(model, u), k_max)
+
+    @pytest.mark.parametrize("name, params, point", INVARIANCE_FIXTURES,
+                             ids=[f"{n}{sorted(p.items())}" for n, p, _ in INVARIANCE_FIXTURES])
+    def test_invariance_fixture_rows_under_every_pair(self, name, params, point):
+        entry = gallery_map(name, params)
+        k_max = min(6, (entry.expected[0].k or 0) + 1)
+        for model, u, pair in invariance_pairs(entry.model, np.array(point), 21):
+            assert_rows_match_nested(model, u, pair, k_max)
+
+    @pytest.mark.parametrize("N", [32, 64])
+    @pytest.mark.parametrize("conjugated", [False, True], ids=["plain", "conjugated"])
+    def test_quartic_bvp_rows(self, N, conjugated):
+        model, u = quartic_bvp(N), np.zeros(N)
+        if conjugated:
+            affine = random_affine_pair(N, np.random.default_rng(22))
+            model, u = conjugate(model, affine), affine.gamma_shift
+        assert_rows_match_nested(model, u, make_fibering_pair(model, u), 3)
+
+    def test_deep_row_first_equals_rows_in_order(self):
+        model = quartic_bvp(64)  # several probe chunks
+        pair = make_fibering_pair(model, np.zeros(64))
+        first = PointFunctionals(model, pair, np.zeros(64))
+        in_order = PointFunctionals(model, pair, np.zeros(64))
+        deep = first.row(4)
+        rows = [in_order.row(k) for k in range(1, 5)]
+        np.testing.assert_array_equal(deep, rows[3])
+        for k in range(1, 4):
+            np.testing.assert_array_equal(first.row(k), rows[k - 1])
+
+    def test_each_row_costs_one_jacobian_and_one_solve_per_chunk(self, monkeypatch):
+        counts = {"jacobian": 0, "solve": 0}
+        jacobian, solve = jets.jacobian, linalg.bordered_solve
+
+        def counted_jacobian(model, x):
+            counts["jacobian"] += isinstance(x, jets.Jet)
+            return jacobian(model, x)
+
+        def counted_solve(A, *args, **kwargs):
+            counts["solve"] += isinstance(A, jets.Jet)
+            return solve(A, *args, **kwargs)
+
+        monkeypatch.setattr(jets, "jacobian", counted_jacobian)
+        monkeypatch.setattr(linalg, "bordered_solve", counted_solve)
+        model = gallery_map("whitney", {"k": 6, "dimZ": 0}).model  # n = 6: one probe chunk
+        u = np.zeros(model.n)
+        pf = PointFunctionals(model, make_fibering_pair(model, u), u)
+        for k in range(1, 7):
+            pf.row(k)
+        assert counts == {"jacobian": 6, "solve": 6}

@@ -309,6 +309,52 @@ class TestExtend:
             jet1([1.0, 2.0, 3.0]).extend(variables, orders)
 
 
+class TestIntegrate:
+    """``jets.integrate``: the antiderivative in one variable, vanishing at 0."""
+
+    def test_antiderivative_of_a_polynomial_is_exact(self):
+        # P(s) = sum_j (j + 1) c_j s^j with integer c_j integrates to
+        # sum_j c_j s^(j+1), so every coefficient is exact
+        c = np.array([3.0, -2.0, 5.0, 7.0])
+        s4 = unit(("s",), (4,), "s")
+        poly = sum((jets.powi(unit(("s",), (3,), "s"), j) * ((j + 1) * cj) for j, cj in enumerate(c)),
+                   constant(0.0, ("s",), (3,)))
+        want = sum((jets.powi(s4, j + 1) * cj for j, cj in enumerate(c)), constant(0.0, ("s",), (4,)))
+        got = jets.integrate(poly, "s", 4)
+        assert (got.vars, got.orders) == (("s",), (4,))
+        np.testing.assert_array_equal(got.coeffs, want.coeffs)
+
+    def test_integral_of_exp_is_exp_minus_one(self):
+        e = unit(("s",), (5,), "s").exp()
+        want = unit(("s",), (6,), "s").exp() - 1.0
+        np.testing.assert_allclose(jets.integrate(e, "s", 6).coeffs, want.coeffs, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("order", [3, 2, 0])
+    def test_degrees_past_the_truncation_order_are_dropped(self, order):
+        x = jet1([1.0, 2.0, 3.0, 4.0])
+        got = jets.integrate(x, "s", order)
+        want = np.array([0.0, 1.0, 1.0, 1.0, 1.0])[: order + 1]  # c_j / (j + 1) at degree j + 1
+        assert got.orders == (order,)
+        np.testing.assert_array_equal(got.coeffs, want)
+
+    def test_other_variables_and_value_axes_are_untouched(self):
+        rng = np.random.default_rng(12)
+        x = Jet(("a", "s", "b"), (2, 3, 1), rng.standard_normal((2, 3, 3, 4, 2)))
+        got = jets.integrate(x, "s", 4)
+        assert (got.vars, got.orders, got.value_shape) == (("a", "s", "b"), (2, 4, 1), (2, 3))
+        np.testing.assert_array_equal(got.extract({"s": 0}).coeffs, np.zeros((2, 3, 3, 2)))
+        for j in range(4):
+            np.testing.assert_array_equal(got.extract({"s": j + 1}).coeffs,
+                                          x.extract({"s": j}).coeffs / (j + 1))
+
+    def test_a_variable_outside_the_context_is_appended(self):
+        x = jet1([1.0, 2.0, 3.0]) * np.array([1.0, -1.0])
+        got = jets.integrate(x, "w", 2)
+        assert (got.vars, got.orders) == (("s", "w"), (2, 2))
+        np.testing.assert_array_equal(got.extract({"w": 1}).coeffs, x.coeffs)
+        assert not got.extract({"w": 0}).coeffs.any() and not got.extract({"w": 2}).coeffs.any()
+
+
 class TestEvalCommutesWithTruncation:
     def test_truncate_after_eval(self):
         model = gallery_map("whitney", {"k": 2, "dimZ": 0}).model
