@@ -28,7 +28,7 @@ s (Griewank & Walther, *Evaluating Derivatives*, SIAM 2008, ch. 13).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
@@ -44,33 +44,25 @@ _SCALE_RADIUS = 0.5  # working neighbourhood on which a ScaleSpec must not vanis
 
 
 class PairBase:
+    """A fibering pair, read through two field methods at a plain or jet point
+    x with F'(x) = Fp: ``phi_j0`` gives phi and J0 = psi F' phi, ``psi`` psi."""
+
     pair_id = "pair"
-    base_point: np.ndarray
 
     def prepare(self, pf: "PointFunctionals") -> None:
         pass
 
-    def phi(self, pf: "PointFunctionals", x, Fp):
+    def phi_j0(self, pf: "PointFunctionals", x, Fp):
         raise NotImplementedError
 
     def psi(self, pf: "PointFunctionals", x, Fp):
         raise NotImplementedError
-
-    def j0(self, pf: "PointFunctionals", x, Fp):
-        """J0 = psi F' phi at a plain or jet point."""
-        y = self.psi(pf, x, Fp) * jets.matvec(Fp, self.phi(pf, x, Fp))
-        return y.vsum() if isinstance(y, Jet) else float(np.sum(y))
-
-    def phi_j0(self, pf: "PointFunctionals", x, Fp):
-        """(phi, J0) at a plain or jet point."""
-        return self.phi(pf, x, Fp), self.j0(pf, x, Fp)
 
 
 @dataclass(frozen=True)
 class FiberingPair(PairBase):
     """Bordered-system pair with border data frozen at the base point."""
 
-    base_point: np.ndarray
     border_b: np.ndarray
     border_c: np.ndarray
     phi_scale: float = 1.0
@@ -85,11 +77,8 @@ class FiberingPair(PairBase):
 
     def _solve(self, pf, Fp, trans: int):
         rhs = (np.zeros(self.border_b.shape[0]), 1.0)
-        return linalg.bordered_solve(Fp, self.border_b, self.border_c, rhs, pf.tol,
-                                     lu_piv=pf.border_lu, trans=trans)
-
-    def phi(self, pf, x, Fp):
-        return self.phi_j0(pf, x, Fp)[0]
+        return linalg.bordered_solve(Fp, self.border_b, self.border_c, rhs, pf.border_lu,
+                                     trans=trans)
 
     def psi(self, pf, x, Fp):
         return self._solve(pf, Fp, 1)[0] * self.psi_scale
@@ -100,12 +89,14 @@ class FiberingPair(PairBase):
         return phi * self.phi_scale, 0.0 - s * self.phi_scale * self.psi_scale
 
     def with_normalization(self, phi_scale: float, psi_scale: float) -> "FiberingPair":
-        return FiberingPair(self.base_point, self.border_b, self.border_c, phi_scale, psi_scale)
+        return replace(self, phi_scale=phi_scale, psi_scale=psi_scale)
 
 
 @dataclass(frozen=True)
 class ScaleSpec:
-    """Scalar field c * (1 + (u - center)^T Q (u - center)), bounded away from 0."""
+    """Scalar field c * (1 + (u - center)^T Q (u - center)), bounded away from 0.
+    Checked on construction: non-finite or misshapen input raises ValueError,
+    a field that may vanish on the working neighbourhood VanishingScale."""
 
     value: float
     quad: np.ndarray | None = None
@@ -119,13 +110,17 @@ class ScaleSpec:
         s = (dx * qd).vsum() if isinstance(dx, Jet) else float(np.dot(np.asarray(dx), qd))
         return (s + 1.0) * self.value
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        quad = np.zeros((0, 0)) if self.quad is None else np.asarray(self.quad, dtype=float)
+        center = np.zeros(0) if self.center is None else np.asarray(self.center, dtype=float)
+        if center.ndim != 1 or quad.shape != center.shape * 2:
+            raise ValueError(f"quad {quad.shape} does not match center {center.shape}")
+        if not (np.isfinite(self.value) and np.isfinite(quad).all() and np.isfinite(center).all()):
+            raise ValueError("scale value, quad and center must be finite")
         if abs(self.value) < 1e-6:
             raise VanishingScale("constant factor too close to zero")
-        if self.quad is not None:
-            norm = float(np.linalg.norm(self.quad, 2))
-            if norm * _SCALE_RADIUS * _SCALE_RADIUS >= 0.9:
-                raise VanishingScale("quadratic term may vanish on the working neighbourhood")
+        if quad.size and float(np.linalg.norm(quad, 2)) * _SCALE_RADIUS * _SCALE_RADIUS >= 0.9:
+            raise VanishingScale("quadratic term may vanish on the working neighbourhood")
 
     def describe(self) -> str:
         if self.quad is None:
@@ -140,18 +135,11 @@ class RescaledPair(PairBase):
     beta: ScaleSpec
 
     @property
-    def base_point(self):
-        return self.inner.base_point
-
-    @property
     def pair_id(self) -> str:
         return f"rescaled({self.alpha.describe()},{self.beta.describe()})<-{self.inner.pair_id}"
 
     def prepare(self, pf):
         self.inner.prepare(pf)
-
-    def phi(self, pf, x, Fp):
-        return self.inner.phi(pf, x, Fp) * self.alpha(x)
 
     def psi(self, pf, x, Fp):
         return self.inner.psi(pf, x, Fp) * self.beta(x)
@@ -164,7 +152,8 @@ class RescaledPair(PairBase):
 
 @dataclass(frozen=True)
 class ExplicitPair(PairBase):
-    """Pair given by closed-form jet-evaluable fields (used for replication tests)."""
+    """Pair given by closed-form jet-evaluable fields (used for replication
+    tests); ``base_point`` only records where the fields were written."""
 
     base_point: np.ndarray
     phi_fn: Callable
@@ -175,8 +164,11 @@ class ExplicitPair(PairBase):
     def pair_id(self) -> str:
         return self.label
 
-    def phi(self, pf, x, Fp):
-        return self.phi_fn(x)
+    def phi_j0(self, pf, x, Fp):
+        """phi and the contraction psi F' phi."""
+        phi = self.phi_fn(x)
+        y = self.psi_fn(x) * jets.matvec(Fp, phi)
+        return phi, y.vsum() if isinstance(y, Jet) else float(np.sum(y))
 
     def psi(self, pf, x, Fp):
         return self.psi_fn(x)
@@ -256,7 +248,7 @@ def bordered_pair(model: MapModel, u0, tol: float = linalg.DEFAULT_RANK_TOL) -> 
     """Pair bordered by the last left (b) and right (c) singular vectors of
     F'(u0), which need not be singular; ``u0`` may be its Linearization."""
     lin = linalg.linearize(model, u0, tol)
-    return FiberingPair(lin.u, *lin.last_pair)
+    return FiberingPair(*lin.last_pair)
 
 
 def make_fibering_pair(model: MapModel, u0, tol: float = linalg.DEFAULT_RANK_TOL) -> FiberingPair:
@@ -269,6 +261,4 @@ def make_fibering_pair(model: MapModel, u0, tol: float = linalg.DEFAULT_RANK_TOL
 
 
 def rescale_pair(pair: PairBase, alpha_spec: ScaleSpec, beta_spec: ScaleSpec) -> RescaledPair:
-    alpha_spec.validate()
-    beta_spec.validate()
     return RescaledPair(pair, alpha_spec, beta_spec)

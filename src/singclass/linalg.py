@@ -124,20 +124,17 @@ def solve_passes(lu_piv, R: Jet, nil_apply, trans: int = 0) -> Jet:
     return X
 
 
-def bordered_solve(A, b, c, rhs, tol: float = DEFAULT_RANK_TOL, lu_piv=None, trans: int = 0):
+def bordered_solve(A, b, c, rhs, lu_piv, trans: int = 0):
     """Solution (x, s) of [[A, b], [c^T, 0]] (x, s) = rhs, or with ``trans=1``
-    of the transposed system [[A^T, c], [b^T, 0]] (x, s) = rhs.
+    of the transposed system [[A^T, c], [b^T, 0]] (x, s) = rhs, against
+    ``lu_piv``, the ``border_factor`` of A's constant term.
 
     ``rhs`` is plain.  A jet-valued ``A`` (batch axes allowed) gives jet
     solutions by ``solve_passes``: only A carries jet terms, so the nilpotent
-    part acts as (N x, 0) on top of the constant-term bordered matrix.  Pass
-    ``lu_piv`` (``border_factor`` of A's constant term) to reuse one
-    factorization across many solves; a batched A needs it.
+    part acts as (N x, 0) on top of the constant-term bordered matrix.
     """
     r1, r2 = rhs
     n = len(b)
-    if lu_piv is None:
-        lu_piv = border_factor(A.const if isinstance(A, Jet) else A, b, c, tol)
     R = np.append(np.asarray(r1, dtype=float), r2)
     if not isinstance(A, Jet):
         sol = lu_solve(lu_piv, R, trans=trans)

@@ -16,6 +16,7 @@ from .model import MapModel
 
 NEWTON_MAX_ITER = 25
 NEWTON_TARGET = 1e-10  # |J0| at which a Newton iterate counts as singular
+_NEWTON_MIN_CUT = 8.0  # a last step cutting |J0| by less converged linearly: a double zero
 SAMPLE_RADIUS = 0.1
 SAMPLE_H_MAX = 3
 
@@ -33,9 +34,11 @@ def project_to_singular(model: MapModel, u_guess, pair: PairBase,
     """Newton iteration for J0 = 0 along the I1 direction.
 
     Well-posed near a 1-transverse point, where the singular set is the
-    regular zero set of J0.  A returned point has a nonzero I1.
+    regular zero set of J0.  A returned point has a nonzero I1 and was not
+    reached at the linear rate of Newton on a double zero of J0.
     """
     u = np.asarray(u_guess, dtype=float).copy()
+    j0_prev = np.inf
     for step in range(NEWTON_MAX_ITER + 1):  # the start and each Newton step's iterate
         pf = PointFunctionals(model, pair, u, tol.rank)
         i1 = pf.row(1)
@@ -49,7 +52,11 @@ def project_to_singular(model: MapModel, u_guess, pair: PairBase,
             raise DegenerateGradient("I1 vanishes at the current iterate")
         j0 = pf.J(0)
         if linalg.negligible(j0, 0.0, NEWTON_TARGET):
+            if abs(j0) * _NEWTON_MIN_CUT > abs(j0_prev):
+                raise DegenerateGradient(f"Newton converged linearly to a double zero of J0: last "
+                                         f"step |J0| {abs(j0_prev):.3g} -> {abs(j0):.3g}")
             return u
+        j0_prev = j0
         u = u - (j0 / float(np.dot(i1, i1))) * i1
     raise NoConvergence(f"|J0| = {abs(j0):.3e} after {NEWTON_MAX_ITER} Newton steps")
 

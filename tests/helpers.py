@@ -117,6 +117,12 @@ def nested_lie_derivative(scalar_field: Callable, vector_field: Callable, u, dep
     return float(lie_value(scalar_field, vector_field, np.asarray(u, dtype=float), depth))
 
 
+def contraction(psi, Fp, phi):
+    """psi F' phi at a plain or jet point, the generic J_0 of any pair."""
+    y = psi * jets.matvec(Fp, phi)
+    return y.vsum() if isinstance(y, Jet) else float(np.sum(y))
+
+
 def j0_at(pf: PointFunctionals, x):
     """J_0 of ``pf``'s pair at a plain or jet point."""
     return pf.pair.phi_j0(pf, x, jets.jacobian(pf.model, x))[1]
@@ -124,7 +130,7 @@ def j0_at(pf: PointFunctionals, x):
 
 def phi_field(pf: PointFunctionals, x):
     """The kernel field of ``pf``'s pair at a plain or jet point."""
-    return pf.pair.phi(pf, x, jets.jacobian(pf.model, x))
+    return pf.pair.phi_j0(pf, x, jets.jacobian(pf.model, x))[0]
 
 
 def lie_J(pf: PointFunctionals, k: int) -> float:
@@ -150,7 +156,8 @@ class TransformedPair(PairBase):
     For gamma(u) = A u + a and delta(y) = B y + b the transformed fields are
     phi~(x) = A phi(gamma^{-1} x) and psi~(x) = B^{-T} psi(gamma^{-1} x); the
     scalar functionals of the transformed pair at gamma(u) then reproduce the
-    originals at u exactly.
+    originals at u exactly.  J_0 is the contraction psi~ F~' phi~ on the moved
+    model, not the inner pair's J_0, so it reads the conjugated Jacobian.
     """
 
     def __init__(self, inner: PairBase, affine: AffinePair, inner_model: MapModel):
@@ -159,7 +166,6 @@ class TransformedPair(PairBase):
         self.inner_model = inner_model
         self._binv_t = np.linalg.inv(affine.delta_mat).T
         self._ainv = np.linalg.inv(affine.gamma_mat)
-        self.base_point = np.asarray(affine.apply_gamma(inner.base_point), dtype=float)
 
     @property
     def pair_id(self) -> str:
@@ -172,11 +178,11 @@ class TransformedPair(PairBase):
         u_in = self._gamma_inv(pf.u)
         pf.inner_pf = PointFunctionals(self.inner_model, self.inner, u_in, pf.tol)
 
-    def phi(self, pf, x, Fp):
+    def phi_j0(self, pf, x, Fp):
         u_in = self._gamma_inv(x)
         Fp_in = jets.jacobian(self.inner_model, u_in)
-        ph = self.inner.phi(pf.inner_pf, u_in, Fp_in)
-        return jets.matvec(self.affine.gamma_mat, ph)
+        phi = jets.matvec(self.affine.gamma_mat, self.inner.phi_j0(pf.inner_pf, u_in, Fp_in)[0])
+        return phi, contraction(self.psi(pf, x, Fp), Fp, phi)
 
     def psi(self, pf, x, Fp):
         u_in = self._gamma_inv(x)

@@ -14,7 +14,7 @@ from singclass.classify import (
     classify_point,
 )
 from singclass.gallery import gallery_map
-from singclass.model import SMOOTH, MapModel
+from singclass.model import SMOOTH, MapModel, conjugate, random_affine_pair
 
 
 class TestKinds:
@@ -191,3 +191,16 @@ class TestAffineInvarianceOfOrder:
             moved = conjugate(model, affine)
             c = classify_point(moved, np.asarray(affine.apply_gamma(np.zeros(3))), route="fibering")
             assert c.same_kind(base) and (c.kind, c.k) == (K_SINGULARITY, 3)
+
+
+def test_rounding_noise_row_counts_as_zero():
+    """Off the origin on the cubic head's singular line t = 0, I_1 of the
+    conjugated map is rounding noise (about 3e-17): rescaling rows to unit
+    size would turn it into a full-rank row."""
+    model = gallery_map("cusp_source_t3").model
+    rng = np.random.default_rng(0)
+    for _ in range(30):
+        affine = random_affine_pair(2, rng, spread=2.0)
+        c = classify_point(conjugate(model, affine), affine.apply_gamma([0.0, 0.37]), route="both")
+        assert c.kind == NOT_ONE_TRANSVERSE
+        assert c.evidence.route_agreement

@@ -393,3 +393,11 @@ class TestOutOfRangeSettings:
         err = capsys.readouterr().err
         assert err.startswith("error: I1 vanishes at the start point")
         assert "sigma_min/sigma_max of F' is 0.5;" in err
+
+    def test_projection_names_a_double_zero(self, tmp_path, capsys):
+        # the cubic head's J0 vanishes to second order on its singular line t = 0
+        out = tmp_path / "c.txt"
+        args = ["classify", "--project", "--gallery", "cusp_source_t3", "--point", "0.2,0.1"]
+        assert run(args + ["--out", str(out)]) == 1
+        assert "double zero of J0" in capsys.readouterr().err
+        assert not out.exists()

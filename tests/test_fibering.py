@@ -7,7 +7,6 @@ from singclass.classify import Tolerances, classify_point
 from singclass.errors import NotSimple, VanishingScale
 from singclass.fibering import (
     ExplicitPair,
-    PairBase,
     PointFunctionals,
     ScaleSpec,
     bordered_pair,
@@ -18,7 +17,7 @@ from singclass.gallery import gallery_map
 from singclass.linalg import linearize, rank_decision
 from singclass.model import conjugate, random_affine_pair
 
-from helpers import identity_affine, lie_J, nested_row, pair_transform
+from helpers import contraction, identity_affine, lie_J, nested_row, pair_transform
 from test_acceptance import INVARIANCE_FIXTURES, classification_table
 
 TOL = Tolerances()
@@ -199,6 +198,26 @@ class TestRescaling:
         with pytest.raises(VanishingScale):
             rescale_pair(pair, ScaleSpec(0.0), ScaleSpec(1.0))
 
+    def test_vanishing_quadratic_rejected_on_construction(self):
+        with pytest.raises(VanishingScale):
+            ScaleSpec(1.0, quad=4.0 * np.eye(2), center=np.zeros(2))
+
+    @pytest.mark.parametrize("value, quad, center", [
+        (np.nan, None, None),
+        (np.inf, None, None),
+        (-np.inf, None, None),
+        (1.0, 0.1 * np.eye(2), None),
+        (1.0, None, np.zeros(2)),
+        (1.0, np.full((2, 2), np.nan), np.zeros(2)),
+        (1.0, 0.1 * np.eye(2), np.array([0.0, np.inf])),
+        (1.0, 0.1 * np.eye(2), np.zeros(3)),
+        (1.0, 0.1 * np.ones((2, 3)), np.zeros(2)),
+    ], ids=["nan", "inf", "-inf", "quad-no-center", "center-no-quad", "nan-quad", "inf-center",
+            "center-length", "quad-not-square"])
+    def test_bad_scale_rejected_on_construction(self, value, quad, center):
+        with pytest.raises(ValueError):
+            ScaleSpec(value, quad=quad, center=center)
+
 
 class TestPairTransform:
     def test_identity_transform_keeps_record(self):
@@ -336,10 +355,9 @@ class TestBorderedTestFunction:
             for point in (u, x):
                 Fp = jets.jacobian(model, point)
                 phi, got = pair.phi_j0(pf, point, Fp)
-                got, want = coeffs(got), coeffs(PairBase.j0(pair, pf, point, Fp))
-                np.testing.assert_array_equal(coeffs(phi), coeffs(pair.phi(pf, point, Fp)))
-                terms = [np.linalg.norm(coeffs(v)) for v in
-                         (pair.psi(pf, point, Fp), Fp, pair.phi(pf, point, Fp))]
+                psi = pair.psi(pf, point, Fp)
+                got, want = coeffs(got), coeffs(contraction(psi, Fp, phi))
+                terms = [np.linalg.norm(coeffs(v)) for v in (psi, Fp, phi)]
                 assert np.max(np.abs(want)) > 1e-6 * np.prod(terms), (key, "J0 vanishes here")
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.prod(terms), key
 

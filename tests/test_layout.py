@@ -1,7 +1,8 @@
 """The jet coefficient layout is private to ``jets``: other modules work on
 jets through its functions and methods, never on the coefficient array.
-Every zero, rank and regularity decision reads ``linalg.negligible``, and
-every gallery map but one is built by the one unfolding builder."""
+Every zero, rank and regularity decision reads ``linalg.negligible``,
+every gallery map but one is built by the one unfolding builder, and every
+fibering pair is read through its two field methods."""
 
 import ast
 import re
@@ -54,3 +55,21 @@ def test_one_decision_rule():
                   for no, line in enumerate(text.splitlines(), 1) if floor.search(line)]
     assert [site for site in sites if site[:2] not in allowed] == []
     assert ("linalg.py", "negligible") in {site[:2] for site in sites}
+
+
+def test_pairs_have_two_field_methods():
+    """Every pair class in ``fibering`` defines ``phi_j0`` (phi and J_0) and
+    ``psi``; none keeps a phi-only method or a generic J_0, and only
+    ``ExplicitPair`` keeps the ``base_point`` of its positional signature."""
+    members = {}
+    for node in ast.parse((SRC / "fibering.py").read_text()).body:
+        bases = {getattr(base, "id", None) for base in getattr(node, "bases", ())}
+        if isinstance(node, ast.ClassDef) and (node.name == "PairBase" or bases & set(members)):
+            members[node.name] = {item.name for item in node.body
+                                  if isinstance(item, ast.FunctionDef)}
+            members[node.name] |= {item.target.id for item in node.body
+                                   if isinstance(item, ast.AnnAssign)}
+    assert {"PairBase", "FiberingPair", "RescaledPair", "ExplicitPair"} <= set(members)
+    assert [name for name, m in members.items() if not {"phi_j0", "psi"} <= m] == []
+    assert [name for name, m in members.items() if m & {"phi", "j0"}] == []
+    assert [name for name, m in members.items() if "base_point" in m] == ["ExplicitPair"]

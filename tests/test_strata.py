@@ -69,6 +69,14 @@ class TestProjection:
         with pytest.raises(DegenerateGradient, match="start point.* 0.5;"):
             project_to_singular(model, [1.0, 0.0], pair)
 
+    def test_double_zero_is_named(self):
+        # J0 of the bordered pair vanishes to second order on the cubic head's
+        # singular line t = 0, so Newton converges linearly, cutting |J0| by 4
+        model = gallery_map("cusp_source_t3").model
+        pair = bordered_pair(model, [0.2, 0.1])
+        with pytest.raises(DegenerateGradient, match="double zero of J0"):
+            project_to_singular(model, [0.2, 0.1], pair)
+
 
 class TestMembership:
     def test_family_second_stratum(self):
