@@ -18,7 +18,7 @@ import numpy as np
 
 from . import jets, linalg
 from .errors import AliasedCoefficients, ParamOutOfRange
-from .fibering import PointFunctionals, make_fibering_pair
+from .fibering import PointFunctionals, ScaleSpec, make_fibering_pair, rescale_pair
 from .model import SMOOTH, MapModel
 
 TrigTerms = tuple[tuple[int, float, float], ...]  # (frequency, cos amp, sin amp)
@@ -145,8 +145,7 @@ def make_periodic_bvp(problem: PeriodicProblem) -> MapModel:
         return jets.add_diag(D, g_of(xs + jets.unit(xs.vars, xs.orders, s)).extract({s: 1}))
 
     label = f"bvp({kind},N={N},{problem.scheme})"
-    meta = {"grid": t, "D": D, "a": a, "p": p, "N": N, "scheme": problem.scheme}
-    return MapModel(N, SMOOTH, ev, label, meta, jac=jac)
+    return MapModel(N, SMOOTH, ev, label, jac=jac)
 
 
 @dataclass(frozen=True)
@@ -186,7 +185,7 @@ def normalized_quartic_pair(model: MapModel, tol: float = linalg.DEFAULT_RANK_TO
     pf = PointFunctionals(model, base, u0, tol)
     phi_scale = 1.0 / float(np.mean(pf.phi0))
     psi_scale = 1.0 / (N * float(np.mean(pf.psi0)))
-    return base.with_normalization(phi_scale, psi_scale)
+    return rescale_pair(base, ScaleSpec(phi_scale), ScaleSpec(psi_scale))
 
 
 def _aligned_cosine(num: np.ndarray, ana: np.ndarray) -> tuple[float, float]:

@@ -79,7 +79,6 @@ class ClassificationReport:
     point: np.ndarray
     kdim: int
     jacobian_singular_values: list[float]
-    tolerances: Tolerances
     route: str
     routes: list[RouteEvidence]
     route_agreement: bool | None = None
@@ -175,7 +174,6 @@ def classify_point(
         point=lin.u,
         kdim=kdim,
         jacobian_singular_values=[float(s) for s in lin.singular_values],
-        tolerances=tol,
         route=route,
         routes=[],
     )

@@ -10,7 +10,7 @@ class OrderExceedsSmoothness(SingclassError):
 
 
 class DepthCapExceeded(SingclassError):
-    """Nested Lie differentiation beyond the supported depth."""
+    """A row I_k beyond the depth cap of the Taylor flow (I_8)."""
 
 
 class SingularBorder(SingclassError):

@@ -28,7 +28,7 @@ s (Griewank & Walther, *Evaluating Derivatives*, SIAM 2008, ch. 13).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -44,52 +44,49 @@ _SCALE_RADIUS = 0.5  # working neighbourhood on which a ScaleSpec must not vanis
 
 
 class PairBase:
-    """A fibering pair, read through two field methods at a plain or jet point
-    x with F'(x) = Fp: ``phi_j0`` gives phi and J0 = psi F' phi, ``psi`` psi."""
+    """A fibering pair, bound near a point by ``at`` and then read through two
+    field methods at a plain or jet point x with F'(x) = Fp: ``phi_j0`` gives
+    phi and J0 = psi F' phi, ``psi`` psi."""
 
     pair_id = "pair"
 
-    def prepare(self, pf: "PointFunctionals") -> None:
-        pass
+    def at(self, u, Fp0, tol: float) -> "PairBase":
+        """The pair ready to evaluate near u, where F'(u) = Fp0."""
+        return self
 
-    def phi_j0(self, pf: "PointFunctionals", x, Fp):
+    def phi_j0(self, x, Fp):
         raise NotImplementedError
 
-    def psi(self, pf: "PointFunctionals", x, Fp):
+    def psi(self, x, Fp):
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class FiberingPair(PairBase):
-    """Bordered-system pair with border data frozen at the base point."""
+    """Bordered-system pair with border data frozen at the base point; ``at``
+    factors the bordered matrix of F'(u) that every solve near u reuses."""
 
     border_b: np.ndarray
     border_c: np.ndarray
-    phi_scale: float = 1.0
-    psi_scale: float = 1.0
+    border_lu: tuple | None = field(default=None, repr=False, compare=False)
 
-    @property
-    def pair_id(self) -> str:
-        return f"bordered(phi_scale={self.phi_scale:g},psi_scale={self.psi_scale:g})"
+    pair_id = "bordered(phi_scale=1,psi_scale=1)"  # the report text of the unscaled pair
 
-    def prepare(self, pf: "PointFunctionals") -> None:
-        pf.border_lu = linalg.border_factor(pf.Fp0, self.border_b, self.border_c, pf.tol)
+    def at(self, u, Fp0, tol: float) -> "FiberingPair":
+        return replace(self, border_lu=linalg.border_factor(Fp0, self.border_b, self.border_c, tol))
 
-    def _solve(self, pf, Fp, trans: int):
+    def _solve(self, Fp, trans: int):
         rhs = (np.zeros(self.border_b.shape[0]), 1.0)
-        return linalg.bordered_solve(Fp, self.border_b, self.border_c, rhs, pf.border_lu,
+        return linalg.bordered_solve(Fp, self.border_b, self.border_c, rhs, self.border_lu,
                                      trans=trans)
 
-    def psi(self, pf, x, Fp):
-        return self._solve(pf, Fp, 1)[0] * self.psi_scale
+    def psi(self, x, Fp):
+        return self._solve(Fp, 1)[0]
 
-    def phi_j0(self, pf, x, Fp):
+    def phi_j0(self, x, Fp):
         """phi and -s from one solve (J0 is 0.0, not -0.0, when s is zero)."""
-        phi, s = self._solve(pf, Fp, 0)
-        return phi * self.phi_scale, 0.0 - s * self.phi_scale * self.psi_scale
-
-    def with_normalization(self, phi_scale: float, psi_scale: float) -> "FiberingPair":
-        return replace(self, phi_scale=phi_scale, psi_scale=psi_scale)
+        phi, s = self._solve(Fp, 0)
+        return phi, 0.0 - s
 
 
 @dataclass(frozen=True)
@@ -138,14 +135,14 @@ class RescaledPair(PairBase):
     def pair_id(self) -> str:
         return f"rescaled({self.alpha.describe()},{self.beta.describe()})<-{self.inner.pair_id}"
 
-    def prepare(self, pf):
-        self.inner.prepare(pf)
+    def at(self, u, Fp0, tol: float) -> "RescaledPair":
+        return replace(self, inner=self.inner.at(u, Fp0, tol))
 
-    def psi(self, pf, x, Fp):
-        return self.inner.psi(pf, x, Fp) * self.beta(x)
+    def psi(self, x, Fp):
+        return self.inner.psi(x, Fp) * self.beta(x)
 
-    def phi_j0(self, pf, x, Fp):
-        phi, j0 = self.inner.phi_j0(pf, x, Fp)
+    def phi_j0(self, x, Fp):
+        phi, j0 = self.inner.phi_j0(x, Fp)
         alpha = self.alpha(x)
         return phi * alpha, j0 * alpha * self.beta(x)
 
@@ -164,13 +161,13 @@ class ExplicitPair(PairBase):
     def pair_id(self) -> str:
         return self.label
 
-    def phi_j0(self, pf, x, Fp):
+    def phi_j0(self, x, Fp):
         """phi and the contraction psi F' phi."""
         phi = self.phi_fn(x)
         y = self.psi_fn(x) * jets.matvec(Fp, phi)
         return phi, y.vsum() if isinstance(y, Jet) else float(np.sum(y))
 
-    def psi(self, pf, x, Fp):
+    def psi(self, x, Fp):
         return self.psi_fn(x)
 
 
@@ -181,20 +178,19 @@ class PointFunctionals:
     J0(Phi_s(u + eps v)), batched over probe directions v along a leading
     value axis; J_k = I_k . phi(u).  The flow is kept per probe chunk, so row
     k+1 costs one Jacobian and one bordered solve more than row k.  ``u`` is a
-    plain point or its ``linalg.Linearization``, whose F'(u) is then reused.
+    plain point or its ``linalg.Linearization``, whose F'(u) is then reused;
+    ``pair`` is kept bound at u (``PairBase.at``).
     """
 
     def __init__(self, model: MapModel, pair: PairBase, u, tol: float = linalg.DEFAULT_RANK_TOL):
         self.model = model
-        self.pair = pair
-        self.tol = tol
         if isinstance(u, linalg.Linearization):
             self.u, self.Fp0 = u.u, u.A
         else:
             self.u = np.asarray(u, dtype=float)
             self.Fp0 = jets.jacobian(model, self.u)
-        pair.prepare(self)
-        phi0, j0 = pair.phi_j0(self, self.u, self.Fp0)
+        self.pair = pair.at(self.u, self.Fp0, tol)
+        phi0, j0 = self.pair.phi_j0(self.u, self.Fp0)
         self.phi0 = np.asarray(phi0, dtype=float)
         self._J: dict[int, float] = {0: float(j0)}
         self._rows: dict[int, np.ndarray] = {}
@@ -204,7 +200,7 @@ class PointFunctionals:
     @cached_property
     def psi0(self) -> np.ndarray:
         """psi(u), solved on first read: no decision reads it."""
-        return np.asarray(self.pair.psi(self, self.u, self.Fp0), dtype=float)
+        return np.asarray(self.pair.psi(self.u, self.Fp0), dtype=float)
 
     # -- rows and values -------------------------------------------------------
 
@@ -239,7 +235,7 @@ class PointFunctionals:
             x, phi = rec
             if phi is not None:
                 x = x.extend((self._eps, self._s), (1, k - 1)) + jets.integrate(phi, self._s, k - 1)
-            rec[1], j0 = self.pair.phi_j0(self, x, jets.jacobian(self.model, x))
+            rec[1], j0 = self.pair.phi_j0(x, jets.jacobian(self.model, x))
             grads.append(j0.extract({self._eps: 1, self._s: k - 1}) * math.factorial(k - 1))
         self._rows[k] = np.concatenate(grads)
 

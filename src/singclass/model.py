@@ -27,7 +27,6 @@ class MapModel:
     d: int
     eval: Callable
     label: str
-    meta: dict = field(default_factory=dict, repr=False, compare=False)
     jac: Callable | None = field(default=None, repr=False, compare=False)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
@@ -91,6 +90,5 @@ def conjugate(model: MapModel, pair: AffinePair) -> MapModel:
             right = jets.transpose_mat(jets.matvec(g_inv_t, J))
             return jets.transpose_mat(jets.matvec(d_mat, right))
 
-    return MapModel(model.n, model.d, ev, label=f"{model.label}~affine", meta=dict(model.meta),
-                    jac=jac)
+    return MapModel(model.n, model.d, ev, label=f"{model.label}~affine", jac=jac)
 

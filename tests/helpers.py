@@ -125,12 +125,12 @@ def contraction(psi, Fp, phi):
 
 def j0_at(pf: PointFunctionals, x):
     """J_0 of ``pf``'s pair at a plain or jet point."""
-    return pf.pair.phi_j0(pf, x, jets.jacobian(pf.model, x))[1]
+    return pf.pair.phi_j0(x, jets.jacobian(pf.model, x))[1]
 
 
 def phi_field(pf: PointFunctionals, x):
     """The kernel field of ``pf``'s pair at a plain or jet point."""
-    return pf.pair.phi_j0(pf, x, jets.jacobian(pf.model, x))[0]
+    return pf.pair.phi_j0(x, jets.jacobian(pf.model, x))[0]
 
 
 def lie_J(pf: PointFunctionals, k: int) -> float:
@@ -174,20 +174,21 @@ class TransformedPair(PairBase):
     def _gamma_inv(self, x):
         return jets.matvec(self._ainv, x - self.affine.gamma_shift)
 
-    def prepare(self, pf):
-        u_in = self._gamma_inv(pf.u)
-        pf.inner_pf = PointFunctionals(self.inner_model, self.inner, u_in, pf.tol)
+    def at(self, u, Fp0, tol):
+        """The pair with its inner pair bound at gamma^{-1}(u)."""
+        u_in = self._gamma_inv(u)
+        inner = self.inner.at(u_in, jets.jacobian(self.inner_model, u_in), tol)
+        return TransformedPair(inner, self.affine, self.inner_model)
 
-    def phi_j0(self, pf, x, Fp):
+    def phi_j0(self, x, Fp):
         u_in = self._gamma_inv(x)
         Fp_in = jets.jacobian(self.inner_model, u_in)
-        phi = jets.matvec(self.affine.gamma_mat, self.inner.phi_j0(pf.inner_pf, u_in, Fp_in)[0])
-        return phi, contraction(self.psi(pf, x, Fp), Fp, phi)
+        phi = jets.matvec(self.affine.gamma_mat, self.inner.phi_j0(u_in, Fp_in)[0])
+        return phi, contraction(self.psi(x, Fp), Fp, phi)
 
-    def psi(self, pf, x, Fp):
+    def psi(self, x, Fp):
         u_in = self._gamma_inv(x)
-        Fp_in = jets.jacobian(self.inner_model, u_in)
-        ps = self.inner.psi(pf.inner_pf, u_in, Fp_in)
+        ps = self.inner.psi(u_in, jets.jacobian(self.inner_model, u_in))
         return jets.matvec(self._binv_t, ps)
 
 

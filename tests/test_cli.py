@@ -394,6 +394,16 @@ class TestOutOfRangeSettings:
         assert err.startswith("error: I1 vanishes at the start point")
         assert "sigma_min/sigma_max of F' is 0.5;" in err
 
+    def test_projection_without_convergence_exits_one(self, tmp_path, capsys, monkeypatch):
+        from singclass import strata
+
+        monkeypatch.setattr(strata, "NEWTON_MAX_ITER", 0)
+        out = tmp_path / "c.txt"
+        args = ["classify", "--project", "--gallery", "fold_t2", "--point", "0.3,0.7"]
+        assert run(args + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: |J0| = ")
+        assert not out.exists()
+
     def test_projection_names_a_double_zero(self, tmp_path, capsys):
         # the cubic head's J0 vanishes to second order on its singular line t = 0
         out = tmp_path / "c.txt"

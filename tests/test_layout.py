@@ -2,7 +2,8 @@
 jets through its functions and methods, never on the coefficient array.
 Every zero, rank and regularity decision reads ``linalg.negligible``,
 every gallery map but one is built by the one unfolding builder, and every
-fibering pair is read through its two field methods."""
+fibering pair is bound at a point by ``at`` and read through its two field
+methods."""
 
 import ast
 import re
@@ -57,19 +58,51 @@ def test_one_decision_rule():
     assert ("linalg.py", "negligible") in {site[:2] for site in sites}
 
 
+def _pair_classes() -> dict[str, ast.ClassDef]:
+    """``PairBase`` and every class in ``fibering`` derived from it."""
+    classes = {}
+    for node in ast.parse((SRC / "fibering.py").read_text()).body:
+        bases = {getattr(base, "id", None) for base in getattr(node, "bases", ())}
+        if isinstance(node, ast.ClassDef) and (node.name == "PairBase" or bases & set(classes)):
+            classes[node.name] = node
+    return classes
+
+
+def _members(node: ast.ClassDef) -> set[str]:
+    """Names a class body defines: methods, fields and class constants."""
+    names = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+    names |= {item.target.id for item in node.body if isinstance(item, ast.AnnAssign)}
+    return names | {target.id for item in node.body if isinstance(item, ast.Assign)
+                    for target in item.targets if isinstance(target, ast.Name)}
+
+
 def test_pairs_have_two_field_methods():
     """Every pair class in ``fibering`` defines ``phi_j0`` (phi and J_0) and
     ``psi``; none keeps a phi-only method or a generic J_0, and only
     ``ExplicitPair`` keeps the ``base_point`` of its positional signature."""
-    members = {}
-    for node in ast.parse((SRC / "fibering.py").read_text()).body:
-        bases = {getattr(base, "id", None) for base in getattr(node, "bases", ())}
-        if isinstance(node, ast.ClassDef) and (node.name == "PairBase" or bases & set(members)):
-            members[node.name] = {item.name for item in node.body
-                                  if isinstance(item, ast.FunctionDef)}
-            members[node.name] |= {item.target.id for item in node.body
-                                   if isinstance(item, ast.AnnAssign)}
+    members = {name: _members(node) for name, node in _pair_classes().items()}
     assert {"PairBase", "FiberingPair", "RescaledPair", "ExplicitPair"} <= set(members)
     assert [name for name, m in members.items() if not {"phi_j0", "psi"} <= m] == []
     assert [name for name, m in members.items() if m & {"phi", "j0"}] == []
     assert [name for name, m in members.items() if "base_point" in m] == ["ExplicitPair"]
+
+
+def test_pairs_are_bound_by_at():
+    """A pair is bound near a point by ``at`` and never reaches into the
+    ``PointFunctionals`` that reads it: no pair method takes ``pf`` and no
+    module writes ``pf.<attr>``.  ``RescaledPair`` is the one way to scale a
+    pair, so ``FiberingPair`` keeps no scale of its own."""
+    classes = _pair_classes()
+    assert "at" in _members(classes["PairBase"])
+    takes_pf = [f"{name}.{item.name}" for name, node in classes.items() for item in node.body
+                if isinstance(item, ast.FunctionDef)
+                and "pf" in {arg.arg for arg in item.args.posonlyargs + item.args.args
+                             + item.args.kwonlyargs}]
+    assert takes_pf == []
+    writes = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and getattr(node.value, "id", None) == "pf"]
+    assert writes == []
+    scaling = {"phi_scale", "psi_scale", "with_normalization"}
+    assert _members(classes["FiberingPair"]) & scaling == set()

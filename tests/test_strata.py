@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from singclass.classify import Tolerances
-from singclass.errors import DegenerateGradient
+from singclass.errors import DegenerateGradient, NoConvergence, NotIndependent
 from singclass.fibering import ScaleSpec, bordered_pair, make_fibering_pair, rescale_pair
 from singclass.gallery import gallery_map
 from singclass.linalg import linearize
@@ -61,6 +61,17 @@ class TestProjection:
         monkeypatch.setattr(strata, "NEWTON_MAX_ITER", 0)
         with pytest.raises(DegenerateGradient):
             project_to_singular(model, np.zeros(2), pair)
+
+    def test_no_convergence_when_steps_run_out(self, monkeypatch):
+        # the fold needs one Newton step from (0.3, 0.7); with none allowed
+        # the start point is the last iterate and J0 is still nonzero there
+        from singclass import strata
+
+        model = gallery_map("fold_t2").model
+        pair = make_fibering_pair(model, [0.0, 0.7])
+        monkeypatch.setattr(strata, "NEWTON_MAX_ITER", 0)
+        with pytest.raises(NoConvergence, match="after 0 Newton steps"):
+            project_to_singular(model, [0.3, 0.7], pair)
 
     def test_vanishing_gradient_at_the_start_point_is_named(self):
         # F'(1, 0) = diag(2, 1): the pair borders the xi direction, J0 is constant
@@ -145,6 +156,14 @@ class TestTangent:
         pair = make_fibering_pair(model, np.zeros(4))
         basis = tangent_space(model, np.zeros(4), 2, pair)
         assert len(basis) == 4 - 2
+
+    def test_dependent_rows_raise(self):
+        # whitney(k=2) lives on the plane: I_1, I_2 at the cusp are
+        # independent, and a third row cannot be
+        model = gallery_map("whitney", {"k": 2, "dimZ": 0}).model
+        pair = make_fibering_pair(model, np.zeros(2))
+        with pytest.raises(NotIndependent, match=r"rows I_1..I_3 have rank 2 < 3"):
+            tangent_space(model, np.zeros(2), 3, pair)
 
     def test_h_zero_full_space(self):
         model = gallery_map("fold_t2").model
