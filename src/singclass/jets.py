@@ -259,6 +259,31 @@ def add_diag(A, d) -> "Jet | np.ndarray":
     return Jet(d.vars, d.orders, out) if isinstance(d, Jet) else out
 
 
+class MatrixPlusDiag:
+    """The jet matrix A + diag(d) of a plain square A (None for zero) and a jet
+    vector d (batch axes allowed), kept apart: ``matvec`` multiplies by d
+    elementwise, so no dense (..., n, n) jet is formed; ``dense`` fills one."""
+
+    __slots__ = ("A", "d")
+
+    def __init__(self, A, d: Jet):
+        self.A, self.d = A, d
+
+    @property
+    def vars(self) -> tuple[str, ...]:
+        return self.d.vars
+
+    @property
+    def orders(self) -> tuple[int, ...]:
+        return self.d.orders
+
+    def nilpotent(self) -> "MatrixPlusDiag":
+        return MatrixPlusDiag(None, self.d.nilpotent())
+
+    def dense(self) -> Jet:
+        return add_diag(0.0 if self.A is None else self.A, self.d)
+
+
 def integrate(x: Jet, name: str, order: int) -> Jet:
     """Antiderivative of ``x`` in ``name`` that vanishes at name = 0, truncated
     at ``order`` in it: c_j name^j becomes c_j name^(j+1) / (j+1).  A variable
@@ -342,9 +367,12 @@ def _truncated_product(lead: np.ndarray, rest: np.ndarray, orders, value_shape, 
 
 
 def matvec(A, x):
-    """Product of a plain matrix with a (jet) vector, or of a jet matrix with
-    a jet vector or a plain vector without batch axes, along the component
-    axis."""
+    """Product of a plain matrix with a (jet) vector, or of a jet matrix or a
+    ``MatrixPlusDiag`` with a jet vector or a plain vector without batch axes,
+    along the component axis."""
+    if isinstance(A, MatrixPlusDiag):
+        y = A.d * x
+        return y if A.A is None else y + matvec(A.A, x)
     if isinstance(A, Jet):
         if not isinstance(x, Jet):  # one product per coefficient of A
             x = np.asarray(x, dtype=float)
@@ -374,8 +402,10 @@ def dot(v: np.ndarray, x):
     return (x * np.asarray(v, dtype=float)).vsum()
 
 
-def transpose_mat(M: "Jet | np.ndarray"):
+def transpose_mat(M: "Jet | MatrixPlusDiag | np.ndarray"):
     """Transpose the two trailing value axes of a (jet) matrix."""
+    if isinstance(M, MatrixPlusDiag):
+        return MatrixPlusDiag(None if M.A is None else M.A.T, M.d)
     if not isinstance(M, Jet):
         return np.swapaxes(M, -2, -1)
     vnd = M.value_ndim
@@ -385,13 +415,13 @@ def transpose_mat(M: "Jet | np.ndarray"):
 # -- derivatives of maps ------------------------------------------------------
 
 
-def jacobian(model, x) -> "Jet | np.ndarray":
+def jacobian(model, x) -> "Jet | MatrixPlusDiag | np.ndarray":
     """Jacobian F'(x) of a MapModel-like object, at a plain or jet point.
 
-    Returns ``J[..., i, j] = dF_i/dx_j`` in the same representation as ``x``
-    (plain array for a plain point, jet for a jet point).  Uses the model's
-    own ``jac`` when it has one; otherwise costs one model evaluation batched
-    over the n probe directions.
+    Returns ``J[..., i, j] = dF_i/dx_j``: a plain array at a plain point, and
+    at a jet point a jet or, from a model's ``jac``, a ``MatrixPlusDiag``.
+    Uses the model's own ``jac`` when it has one; otherwise costs one model
+    evaluation batched over the n probe directions.
     """
     if not isinstance(x, Jet):
         x = np.asarray(x, dtype=float)

@@ -129,14 +129,14 @@ def bordered_solve(A, b, c, rhs, lu_piv, trans: int = 0):
     of the transposed system [[A^T, c], [b^T, 0]] (x, s) = rhs, against
     ``lu_piv``, the ``border_factor`` of A's constant term.
 
-    ``rhs`` is plain.  A jet-valued ``A`` (batch axes allowed) gives jet
-    solutions by ``solve_passes``: only A carries jet terms, so the nilpotent
-    part acts as (N x, 0) on top of the constant-term bordered matrix.
+    ``rhs`` is plain.  A jet or ``jets.MatrixPlusDiag`` A (batch axes allowed)
+    gives jet solutions by ``solve_passes``: only A carries jet terms, so the
+    nilpotent part acts as (N x, 0) on top of the constant-term bordered matrix.
     """
     r1, r2 = rhs
     n = len(b)
     R = np.append(np.asarray(r1, dtype=float), r2)
-    if not isinstance(A, Jet):
+    if not isinstance(A, (Jet, jets.MatrixPlusDiag)):
         sol = lu_solve(lu_piv, R, trans=trans)
         return sol[:n], float(sol[n])
     N = jets.transpose_mat(A.nilpotent()) if trans else A.nilpotent()

@@ -19,8 +19,9 @@ class MapModel:
     """A smooth map F: R^n -> R^n evaluable at plain and jet-valued points.
 
     ``jac``, when given, evaluates the Jacobian F'(x) at plain and jet points
-    with value shape ``(..., n, n)``; it must equal the probe Jacobian of
-    ``eval`` (see ``jets.jacobian``).
+    with value shape ``(..., n, n)``, at a jet point as a jet or a
+    ``jets.MatrixPlusDiag``; it must equal the probe Jacobian of ``eval``
+    (see ``jets.jacobian``).
     """
 
     n: int
@@ -87,6 +88,7 @@ def conjugate(model: MapModel, pair: AffinePair) -> MapModel:
         def jac(x):
             # delta . J(gamma^{-1} x) . gamma^{-1}; matvec acts on the last axis
             J = model.jac(jets.matvec(g_inv, x - g_shift))
+            J = J.dense() if isinstance(J, jets.MatrixPlusDiag) else J
             right = jets.transpose_mat(jets.matvec(g_inv_t, J))
             return jets.transpose_mat(jets.matvec(d_mat, right))
 

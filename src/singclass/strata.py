@@ -80,6 +80,8 @@ def stratum_membership(model: MapModel, u, h: int, pair: PairBase,
 def tangent_space(model: MapModel, u, h: int, pair: PairBase,
                   tol: Tolerances = Tolerances()) -> list[np.ndarray]:
     """Orthonormal basis of the intersection of the null spaces of I_1 .. I_h."""
+    if h < 0:
+        raise ValueError(f"stratum order h must be at least 0, got {h}")
     n = model.n
     if h == 0:
         return [np.eye(n)[:, j] for j in range(n)]
@@ -109,6 +111,8 @@ def verify_stratification(model: MapModel, u0, k: int, pair: PairBase,
     """Codimension checks for h = 1..k plus the kernel-line dichotomy:
     phi(u0) lies in the order-k tangent space iff J_k vanishes.  ``u0`` is a
     plain point or its ``linalg.Linearization``."""
+    if k < 1:
+        raise ValueError(f"stratum order k must be at least 1, got {k}")
     pf = PointFunctionals(model, pair, u0, tol.rank)
     u0 = pf.u
     ranks, rank_ok = {}, {}

@@ -115,7 +115,7 @@ def _max_rel_diff(got, want) -> float:
 
 class TestStructuredJacobian:
     """The periodic problem's own Jacobian against the probe Jacobian of the
-    same map."""
+    same map; at a jet point it is a ``MatrixPlusDiag``, compared densely."""
 
     @staticmethod
     def points(N, rng):
@@ -139,6 +139,9 @@ class TestStructuredJacobian:
             probe = dataclasses.replace(m, jac=None)
             for x in self.points(N, rng):
                 got = jets.jacobian(m, x)
+                if m is model and isinstance(x, jets.Jet):
+                    assert isinstance(got, jets.MatrixPlusDiag)
+                    got = got.dense()
                 want = jets.jacobian(probe, x)
                 assert _max_rel_diff(got, want) <= 1e-13
 
@@ -162,6 +165,21 @@ class TestStructuredJacobian:
                 assert ja == pytest.approx(jb, rel=1e-12, abs=1e-12)
             if p:
                 assert a.J_values[3] == pytest.approx(24.0 * N**-1.5, rel=1e-9)
+
+
+    def test_jet_points_form_no_dense_jacobian(self, monkeypatch):
+        calls = []
+        fill = jets.add_diag
+
+        def recording(A, d):
+            calls.append(isinstance(d, jets.Jet))
+            return fill(A, d)
+
+        monkeypatch.setattr(jets, "add_diag", recording)
+        model = make_periodic_bvp(PeriodicProblem(N=64, a_terms=A_SIN, p_terms=P_ONE))
+        c = classify_point(model, np.zeros(64), route="both")
+        assert c.describe() == "KSingularity(3)" and c.evidence.route_agreement
+        assert calls and not any(calls)  # plain Jacobians only
 
 
 class TestAnalyticOracle:
@@ -257,3 +275,18 @@ class TestLargeGridLsRoute:
     def test_j3_matches_closed_form(self):
         ev = self.classify(1.0).evidence.routes[0]
         assert ev.J_values[3] == pytest.approx(24.0 * self.N**-1.5, rel=1e-9)
+
+
+class TestLargeGridFiberingRoute:
+    """Both routes at N = 256, where the fibering route batches all N probe
+    directions against the diagonal jet of F'(x)."""
+
+    N = 256
+
+    def test_j3_matches_closed_form(self):
+        model = make_periodic_bvp(PeriodicProblem(N=self.N, a_terms=A_SIN, p_terms=P_ONE))
+        c = classify_point(model, np.zeros(self.N), route="both")
+        assert c.describe() == "KSingularity(3)" and c.evidence.route_agreement
+        assert [ev.route for ev in c.evidence.routes] == ["fibering", "ls"]
+        for ev in c.evidence.routes:
+            assert ev.J_values[3] == pytest.approx(24.0 * self.N**-1.5, rel=1e-9)

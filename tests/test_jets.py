@@ -162,6 +162,30 @@ class TestJetLayout:
         plain = rng.standard_normal(3)
         np.testing.assert_array_equal(jets.add_diag(A, plain), A + np.diag(plain))
 
+
+class TestMatrixPlusDiag:
+    """The operator A + diag(d) acts as its ``dense`` fill does."""
+
+    def test_operations_match_dense(self):
+        rng = np.random.default_rng(12)
+        names, orders = ("a", "b"), (2, 1)
+        op = jets.MatrixPlusDiag(rng.standard_normal((3, 3)),
+                                 Jet(names, orders, rng.standard_normal((2, 3, 3, 2))))
+        x = Jet(names, orders, rng.standard_normal((3, 3, 2)))
+        w = rng.standard_normal(3)
+        dense = op.dense()
+        assert isinstance(dense, Jet) and dense.value_shape == (2, 3, 3)
+        assert (op.vars, op.orders) == (dense.vars, dense.orders)
+        nil = op.nilpotent()
+        assert nil.A is None
+        cases = [(op, dense), (jets.transpose_mat(op), jets.transpose_mat(dense)),
+                 (nil, dense.nilpotent()), (jets.transpose_mat(nil), jets.transpose_mat(nil.dense()))]
+        for got, want in cases:
+            np.testing.assert_array_equal(got.dense().coeffs, want.coeffs)
+            for v in (x, w):
+                np.testing.assert_allclose(jets.matvec(got, v).coeffs, jets.matvec(want, v).coeffs,
+                                           rtol=1e-13, atol=1e-13)
+
 class TestOrderZeroDegeneration:
     """All orders zero must reproduce plain float arithmetic bit for bit."""
 

@@ -170,6 +170,13 @@ class TestTangent:
         pair = make_fibering_pair(model, [0.0, 0.0])
         assert len(tangent_space(model, [0.0, 0.0], 0, pair)) == 2
 
+    @pytest.mark.parametrize("h", [-1, -3])
+    def test_negative_order_rejected(self, h):
+        model = gallery_map("fold_t2").model
+        pair = make_fibering_pair(model, [0.0, 0.0])
+        with pytest.raises(ValueError, match=f"stratum order h must be at least 0, got {h}"):
+            tangent_space(model, [0.0, 0.0], h, pair)
+
 
 class TestStratification:
     def test_whitney2_kernel_line_leaves_tangent(self):
@@ -200,6 +207,13 @@ class TestStratification:
         pair = make_fibering_pair(model, u)
         plain = verify_stratification(model, u, 3, pair, n_probes=3, seed=2)
         assert verify_stratification(model, linearize(model, u), 3, pair, n_probes=3, seed=2) == plain
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_order_below_one_rejected(self, k):
+        model = gallery_map("fold_t2").model
+        pair = make_fibering_pair(model, [0.0, 0.0])
+        with pytest.raises(ValueError, match=f"stratum order k must be at least 1, got {k}"):
+            verify_stratification(model, [0.0, 0.0], k, pair)
 
 
 class TestSampling:
