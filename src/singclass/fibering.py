@@ -39,7 +39,7 @@ from .errors import DepthCapExceeded, NotSimple, OrderExceedsSmoothness, Vanishi
 from .jets import Jet
 from .model import MapModel
 
-_ROW_BATCH_BUDGET = 1 << 20  # floats of the F'(x) jet of one probe chunk
+_ROW_BATCH_BUDGET = 1 << 20  # floats of the F'(x) jet (a MatrixPlusDiag's d) of one probe chunk
 _SCALE_RADIUS = 0.5  # working neighbourhood on which a ScaleSpec must not vanish
 
 
@@ -226,10 +226,11 @@ class PointFunctionals:
         n, k = self.model.n, len(self._rows) + 1
         if k == 1:  # eps alone: a point that stops at I_1 pays for no s axis
             deepest = min(jets.NESTING_CAP, self.model.d - 1)  # s-coefficients of the last row
-            # F'(x) floats per probe and coefficient: a jac's diagonal, or n^2 probed
-            per_probe = n if self.model.jac is not None else n * n
-            chunk = max(1, _ROW_BATCH_BUDGET // (per_probe * 2 * deepest))
             eps = jets.unit((self._eps,), (1,), self._eps)
+            # F'(x) floats per probe and coefficient: n for a jac's D + diag(d), else n^2
+            diag = self.model.jac is not None and isinstance(
+                self.model.jac(eps * np.eye(n)[:1] + self.u), jets.MatrixPlusDiag)
+            chunk = max(1, _ROW_BATCH_BUDGET // ((n if diag else n * n) * 2 * deepest))
             self._flow = [[eps * np.eye(n)[start : start + chunk] + self.u, None]
                           for start in range(0, n, chunk)]
         grads = []

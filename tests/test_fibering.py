@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from singclass import jets, linalg
+from singclass import fibering, jets, linalg
 from singclass.bvp import PeriodicProblem, make_periodic_bvp
 from singclass.classify import Tolerances, classify_point
 from singclass.errors import NotSimple, VanishingScale
@@ -472,18 +472,47 @@ class TestFlowRows:
             model, u = conjugate(model, affine), affine.gamma_shift
         assert_rows_match_nested(model, u, make_fibering_pair(model, u), 3)
 
-    def test_deep_row_first_equals_rows_in_order(self):
-        # the probe Jacobian is a dense jet per probe, so N = 48 takes several chunks
-        model = dataclasses.replace(quartic_bvp(48), jac=None)
-        pair = make_fibering_pair(model, np.zeros(48))
-        first = PointFunctionals(model, pair, np.zeros(48))
-        in_order = PointFunctionals(model, pair, np.zeros(48))
-        deep = first.row(4)
-        assert len(first._flow) > 1
-        rows = [in_order.row(k) for k in range(1, 5)]
-        np.testing.assert_array_equal(deep, rows[3])
-        for k in range(1, 4):
-            np.testing.assert_array_equal(first.row(k), rows[k - 1])
+    def test_deep_row_first_equals_rows_in_order(self, monkeypatch):
+        # a probe Jacobian is a dense jet per probe, so N = 48 takes several chunks;
+        # the jac's D + diag(d) takes n floats per probe, so a smaller budget splits it
+        probe = dataclasses.replace(quartic_bvp(48), jac=None)
+        for model, budget in ((probe, fibering._ROW_BATCH_BUDGET), (quartic_bvp(48), 1 << 12)):
+            monkeypatch.setattr(fibering, "_ROW_BATCH_BUDGET", budget)
+            pair = make_fibering_pair(model, np.zeros(48))
+            first = PointFunctionals(model, pair, np.zeros(48))
+            in_order = PointFunctionals(model, pair, np.zeros(48))
+            deep = first.row(4)
+            assert len(first._flow) > 1
+            rows = [in_order.row(k) for k in range(1, 5)]
+            np.testing.assert_array_equal(deep, rows[3])
+            for k in range(1, 4):
+                np.testing.assert_array_equal(first.row(k), rows[k - 1])
+
+    @pytest.mark.parametrize("conjugated", [False, True], ids=["plain", "conjugated"])
+    def test_chunk_jacobians_fit_the_budget(self, conjugated, monkeypatch):
+        # conjugate fills the jac's D + diag(d) into a dense (chunk, n, n) jet, so
+        # a conjugated problem is chunked by n^2 floats per probe, as a probe Jacobian is
+        sizes, jacobian = [], jets.jacobian
+
+        def recording(model, x):
+            J = jacobian(model, x)
+            if isinstance(x, jets.Jet):
+                sizes.append((J.d if isinstance(J, jets.MatrixPlusDiag) else J).coeffs.size)
+            return J
+
+        monkeypatch.setattr(jets, "jacobian", recording)
+        N = 64
+        model, u = quartic_bvp(N), np.zeros(N)
+        if conjugated:
+            affine = random_affine_pair(N, np.random.default_rng(22))
+            model, u = conjugate(model, affine), affine.gamma_shift
+        pf = PointFunctionals(model, make_fibering_pair(model, u), u)
+        pf.row(3)
+        per_probe, deepest = (N * N if conjugated else N), min(jets.NESTING_CAP, model.d - 1)
+        chunk = fibering._ROW_BATCH_BUDGET // (per_probe * 2 * deepest)
+        assert len(pf._flow) == -(-N // chunk)
+        assert len(sizes) == 3 * len(pf._flow)
+        assert max(sizes) <= fibering._ROW_BATCH_BUDGET
 
     def test_each_row_costs_one_jacobian_and_one_solve_per_chunk(self, monkeypatch):
         counts = {"jacobian": 0, "solve": 0}
