@@ -13,6 +13,10 @@ class DepthCapExceeded(SingclassError):
     """A row I_k beyond the depth cap of the Taylor flow (I_8)."""
 
 
+class NonFiniteMatrix(SingclassError):
+    """A matrix to be decomposed has an infinite or NaN entry."""
+
+
 class SingularBorder(SingclassError):
     """Bordered matrix is rank-deficient at the working tolerance."""
 

@@ -11,7 +11,10 @@ Arithmetic is exact truncated-polynomial arithmetic: products are truncated
 convolutions, and exp is evaluated by composing its Taylor series with the
 nilpotent part of the argument, which terminates after ``sum(orders)``
 terms.  A jet with all orders zero degenerates to plain float arithmetic bit
-for bit.
+for bit.  A product reads a table cached per context (``_product_table``):
+one gather of each operand's coefficients, one multiply and one sum per
+output degree.  Results derived here from checked jets are built by the
+unchecked ``_like``; ``Jet(...)`` checks every other construction.
 
 The helpers at the bottom (``exp``, ``comp``, ``stack``, ``matvec``, ...)
 dispatch on the argument type so the same map code runs on plain numpy
@@ -20,6 +23,7 @@ arrays and on jets.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Sequence
@@ -90,18 +94,18 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             self._require_ctx(other)
-            return Jet(self.vars, self.orders, self.coeffs + other.coeffs)
+            return _like(self, self.coeffs + other.coeffs)
         arr = np.asarray(other, dtype=float)
         vs = np.broadcast_shapes(self.value_shape, arr.shape)
         out = np.zeros(vs + self.jet_shape)
         out += self.coeffs
         out[(Ellipsis, *(0,) * self.njet)] += arr
-        return Jet(self.vars, self.orders, out)
+        return _like(self, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.vars, self.orders, -self.coeffs)
+        return _like(self, -self.coeffs)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet) else -np.asarray(other, dtype=float))
@@ -111,22 +115,16 @@ class Jet:
 
     def _scale(self, arr: np.ndarray) -> "Jet":
         arr = np.asarray(arr, dtype=float)
-        return Jet(self.vars, self.orders, self.coeffs * arr[(Ellipsis, *(None,) * self.njet)])
+        return _like(self, self.coeffs * arr[(Ellipsis, *(None,) * self.njet)])
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return self._scale(np.asarray(other, dtype=float))
-        self._require_ctx(other)
-        if self.njet == 0:
-            return Jet(self.vars, self.orders, self.coeffs * other.coeffs)
-        vs = np.broadcast_shapes(self.value_shape, other.value_shape)
-        spread = (Ellipsis, *(None,) * self.njet)
-        out = _truncated_product(other.coeffs, self.coeffs, self.orders, vs,
-                                 lambda block, a: a * block[spread])
-        return Jet(self.vars, self.orders, out)
+            return self._scale(other)
+        x, y, starts = _pairs(other, self)
+        # in place unless the value shapes broadcast: two pair-sized temporaries at most
+        return _sum_pairs(self, np.multiply(x, y, out=x if x.shape == y.shape else None), starts)
 
-    def __rmul__(self, other):
-        return self._scale(np.asarray(other, dtype=float))
+    __rmul__ = _scale
 
     # -- analytic functions ------------------------------------------------
 
@@ -148,7 +146,7 @@ class Jet:
         """The jet minus its constant term."""
         nil = self.coeffs.copy()
         nil[(Ellipsis, *(0,) * self.njet)] = 0.0
-        return Jet(self.vars, self.orders, nil)
+        return _like(self, nil)
 
     def exp(self) -> "Jet":
         e = np.exp(self.const)
@@ -174,7 +172,7 @@ class Jet:
         """Index or slice the last value axis (the vector-component axis)."""
         if self.value_ndim == 0:
             raise IndexError("scalar jet has no components")
-        return Jet(self.vars, self.orders, self.coeffs[(Ellipsis, i) + (slice(None),) * self.njet])
+        return _like(self, self.coeffs[(Ellipsis, i) + (slice(None),) * self.njet])
 
     __getitem__ = component
 
@@ -183,7 +181,7 @@ class Jet:
         m = self.value_shape[-1]
         out = np.zeros(self.value_shape[:-1] + (m + 1,) + self.jet_shape)
         out[(Ellipsis, slice(0, m)) + (slice(None),) * self.njet] = self.coeffs
-        return Jet(self.vars, self.orders, out)
+        return _like(self, out)
 
     def map_components(self, fn) -> "Jet":
         """Apply a linear map along the component axis: ``fn`` maps the (m, K)
@@ -191,11 +189,11 @@ class Jet:
         moved = np.moveaxis(self.coeffs, self.value_ndim - 1, 0)
         out = fn(moved.reshape(moved.shape[0], -1))
         out = out.reshape(out.shape[:1] + moved.shape[1:])
-        return Jet(self.vars, self.orders, np.moveaxis(out, 0, self.value_ndim - 1))
+        return _like(self, np.moveaxis(out, 0, self.value_ndim - 1))
 
     def vsum(self) -> "Jet":
         """Sum over the last value axis."""
-        return Jet(self.vars, self.orders, self.coeffs.sum(axis=self.value_ndim - 1))
+        return _like(self, self.coeffs.sum(axis=self.value_ndim - 1))
 
     # -- context manipulation ------------------------------------------------
 
@@ -235,14 +233,22 @@ class Jet:
         return Jet(variables, orders, out)
 
 
+def _like(jet: Jet, coeffs: np.ndarray) -> Jet:
+    """A jet in the context of ``jet`` with the float array ``coeffs``, built
+    without the checks of ``Jet.__init__``: for results derived from checked jets.
+    A jet without variables gets a numpy scalar from a 0-d result; asarray
+    keeps its coefficients an array."""
+    out = object.__new__(Jet)
+    out.vars, out.orders, out.coeffs = jet.vars, jet.orders, np.asarray(coeffs)
+    return out
+
+
 # -- constructors -----------------------------------------------------------
 
 
 def constant(value, variables: Sequence[str] = (), orders: Sequence[int] = ()) -> Jet:
-    variables = tuple(variables)
-    orders = tuple(int(o) for o in orders)
     arr = np.asarray(value, dtype=float)
-    out = np.zeros(arr.shape + tuple(o + 1 for o in orders))
+    out = np.zeros(arr.shape + tuple(int(o) + 1 for o in orders))
     out[(Ellipsis, *(0,) * len(orders))] = arr
     return Jet(variables, orders, out)
 
@@ -256,7 +262,7 @@ def add_diag(A, d) -> "Jet | np.ndarray":
     out[(Ellipsis, slice(None), slice(None)) + (0,) * nj] = A
     idx = np.arange(c.shape[vnd - 1])
     out[(Ellipsis, idx, idx) + (slice(None),) * nj] += c
-    return Jet(d.vars, d.orders, out) if isinstance(d, Jet) else out
+    return _like(d, out) if isinstance(d, Jet) else out
 
 
 class MatrixPlusDiag:
@@ -301,12 +307,9 @@ def integrate(x: Jet, name: str, order: int) -> Jet:
 
 def unit(variables: Sequence[str], orders: Sequence[int], name: str) -> Jet:
     """The scalar jet of one variable inside a larger context."""
-    variables = tuple(variables)
-    orders = tuple(orders)
-    i = variables.index(name)
+    pos = [0] * len(orders)
+    pos[tuple(variables).index(name)] = 1
     c = np.zeros(tuple(o + 1 for o in orders))
-    pos = [0] * len(variables)
-    pos[i] = 1
     c[tuple(pos)] = 1.0
     return Jet(variables, orders, c)
 
@@ -347,23 +350,38 @@ def stack(parts: Sequence) -> "Jet | np.ndarray":
         jet._require_ctx(p)
     vs = np.broadcast_shapes(*(p.value_shape for p in promoted))
     arrs = [np.broadcast_to(p.coeffs, vs + jet.jet_shape) for p in promoted]
-    return Jet(jet.vars, jet.orders, np.stack(arrs, axis=len(vs)))
+    return _like(jet, np.stack(arrs, axis=len(vs)))
 
 
-def _truncated_product(lead: np.ndarray, rest: np.ndarray, orders, value_shape, term) -> np.ndarray:
-    """Coefficients of the truncated product of two jets: for each degree mu
-    with a nonzero block of ``lead``, ``term(block, coefficients of rest up
-    to degree orders - mu)`` is added at degrees mu .. orders."""
-    shape = tuple(o + 1 for o in orders)
-    out = np.zeros(value_shape + shape)
-    for mu in np.ndindex(*shape):
-        block = lead[(Ellipsis, *mu)]
-        if not block.any():
-            continue
-        high = (Ellipsis, *(slice(m, o + 1) for m, o in zip(mu, orders)))
-        low = (Ellipsis, *(slice(0, o + 1 - m) for m, o in zip(mu, orders)))
-        out[high] += term(block, rest[low])
-    return out
+@functools.lru_cache(maxsize=None)
+def _product_table(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The truncated product as a table: the flat degrees (a, b) of every pair
+    of coefficients whose product stays inside the truncation, grouped by the
+    flat degree of a + b (a lexicographic within a group), and the start of
+    each group.  Every group holds its degree-zero pair, so none is empty."""
+    k, shape = len(orders), tuple(o + 1 for o in orders)
+    flat = lambda idx: int(np.ravel_multi_index(idx, shape))
+    pairs = sorted((flat(tuple(i + j for i, j in zip(ab[:k], ab[k:]))), flat(ab[:k]), flat(ab[k:]))
+                   for ab in np.ndindex(*shape, *shape)
+                   if all(i + j < s for i, j, s in zip(ab[:k], ab[k:], shape)))
+    out, a, b = np.array(pairs, dtype=np.intp).T
+    return a, b, np.flatnonzero(np.diff(out, prepend=-1))
+
+
+def _pairs(lead: Jet, rest: Jet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coefficients of two jets of one context gathered along one last
+    axis, pair by pair of ``_product_table``, and the start of each group."""
+    lead._require_ctx(rest)
+    a, b, starts = _product_table(lead.orders)
+    flat = lambda x, index: x.coeffs.reshape(x.value_shape + (starts.size,)).take(index, axis=-1)
+    return flat(lead, a), flat(rest, b), starts
+
+
+def _sum_pairs(ctx: Jet, prod: np.ndarray, starts: np.ndarray) -> Jet:
+    """The jet in ctx's context whose coefficient at each degree sums that
+    degree's group of pair products (the last axis of ``prod``)."""
+    out = np.add.reduceat(prod, starts, axis=-1)
+    return _like(ctx, out.reshape(out.shape[:-1] + ctx.jet_shape))
 
 
 def matvec(A, x):
@@ -376,23 +394,14 @@ def matvec(A, x):
     if isinstance(A, Jet):
         if not isinstance(x, Jet):  # one product per coefficient of A
             x = np.asarray(x, dtype=float)
-            return Jet(A.vars, A.orders, np.tensordot(x, A.coeffs, axes=(0, A.value_ndim - 1)))
-        A._require_ctx(x)
-        vs = np.broadcast_shapes(A.value_shape[:-2], x.value_shape[:-1]) + A.value_shape[-2:-1]
-        out = _truncated_product(A.coeffs, x.coeffs, A.orders, vs,
-                                 lambda block, xs: _matmul_coeffs(block, xs, x.value_ndim))
-        return Jet(A.vars, A.orders, out)
+            return _like(A, np.tensordot(x, A.coeffs, axes=(0, A.value_ndim - 1)))
+        gA, gx, starts = _pairs(A, x)
+        return _sum_pairs(A, np.einsum("...ijp,...jp->...ip", gA, gx), starts)
     A = np.asarray(A, dtype=float)
     if not isinstance(x, Jet):
         return np.einsum("ij,...j->...i", A, np.asarray(x, dtype=float))
-    return Jet(x.vars, x.orders, _matmul_coeffs(A, x.coeffs, x.value_ndim))
-
-
-def _matmul_coeffs(A: np.ndarray, c: np.ndarray, vnd: int) -> np.ndarray:
-    """Matrix (stack) A times every coefficient of the vectors in c (vnd value axes)."""
-    sub = c.shape[vnd:]
-    out = np.matmul(A, c.reshape(c.shape[:vnd] + (math.prod(sub),)))
-    return out.reshape(out.shape[:-1] + sub)
+    out = np.matmul(A, x.coeffs.reshape(x.value_shape + (math.prod(x.jet_shape),)))
+    return _like(x, out.reshape(out.shape[:-1] + x.jet_shape))
 
 
 def dot(v: np.ndarray, x):
@@ -408,8 +417,7 @@ def transpose_mat(M: "Jet | MatrixPlusDiag | np.ndarray"):
         return MatrixPlusDiag(None if M.A is None else M.A.T, M.d)
     if not isinstance(M, Jet):
         return np.swapaxes(M, -2, -1)
-    vnd = M.value_ndim
-    return Jet(M.vars, M.orders, np.swapaxes(M.coeffs, vnd - 2, vnd - 1))
+    return _like(M, np.swapaxes(M.coeffs, M.value_ndim - 2, M.value_ndim - 1))
 
 
 # -- derivatives of maps ------------------------------------------------------
@@ -432,8 +440,7 @@ def jacobian(model, x) -> "Jet | MatrixPlusDiag | np.ndarray":
     n = model.n
     if isinstance(x, Jet):
         base = x.extend(x.vars + (pv,), x.orders + (1,))
-        vnd = base.value_ndim
-        base = Jet(base.vars, base.orders, np.expand_dims(base.coeffs, axis=vnd - 1))
+        base = _like(base, np.expand_dims(base.coeffs, axis=base.value_ndim - 1))
     else:
         base = constant(x[..., None, :], (pv,), (1,))
     probe = unit(base.vars, base.orders, pv)

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from . import jets
-from .errors import SingularBorder
+from .errors import NonFiniteMatrix, SingularBorder
 from .jets import Jet
 
 DEFAULT_RANK_TOL = 1e-8
@@ -29,6 +29,14 @@ def negligible(x, ref, tol: float):
     return np.abs(x) <= tol * max(1.0, abs(float(ref)))
 
 
+def _finite(M: np.ndarray, name: str) -> np.ndarray:
+    """M itself, once every entry is checked finite: LAPACK's SVD can loop
+    without end on an infinite entry."""
+    if not np.isfinite(M).all():
+        raise NonFiniteMatrix(f"{name} has an infinite or NaN entry; no SVD is taken")
+    return M
+
+
 def _numerical_rank(sv: np.ndarray, tol: float) -> int:
     """Count of singular values not negligible against sigma_max."""
     return int(np.count_nonzero(~negligible(sv, sv[0] if sv.size else 0.0, tol)))
@@ -37,7 +45,7 @@ def _numerical_rank(sv: np.ndarray, tol: float) -> int:
 def rank_decision(rows: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> RankDecision:
     """Numerical rank of a stack of rows."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    sv = np.linalg.svd(rows, compute_uv=False)
+    sv = np.linalg.svd(_finite(rows, "the row stack"), compute_uv=False)
     return RankDecision(_numerical_rank(sv, tol), tuple(float(s) for s in sv))
 
 
@@ -77,7 +85,7 @@ class Linearization:
         n = A.shape[0]
         if A.shape != (n, n):
             raise ValueError("a linearization needs a square matrix")
-        U, sv, Vt = np.linalg.svd(A)
+        U, sv, Vt = np.linalg.svd(_finite(A, "F'(u)"))
         rank = _numerical_rank(sv, tol)
         return cls(u, A, sv, rank, _fix_signs(Vt[rank:].T), _fix_signs(U[:, rank:]), U[:, :rank],
                    (_fix_signs(U[:, -1:])[:, 0], _fix_signs(Vt[-1:].T)[:, 0]))
@@ -104,7 +112,7 @@ def border_factor(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = DEFA
     M0[:n, :n] = A
     M0[:n, n] = b
     M0[n, :n] = c
-    sv = np.linalg.svd(M0, compute_uv=False)
+    sv = np.linalg.svd(_finite(M0, "the bordered matrix"), compute_uv=False)
     if _numerical_rank(sv, tol) < sv.size:
         raise SingularBorder(
             f"bordered matrix rank-deficient: sigma_min/sigma_max = {sv[-1] / sv[0]:.3e}"

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from singclass import jets
 from singclass.cli import CONFIG_KEYS, main
+from singclass.gallery import gallery_map
 from singclass.report import SCHEMA_VERSION, parse, render
 from singclass.errors import ConfigParseError
 
@@ -66,6 +71,19 @@ class TestClassifyCommand:
     def test_error_exit_code(self):
         assert run(["classify", "--gallery", "nonexistent", "--point", "0,0"]) == 1
         assert run(["classify", "--gallery", "fold_t2", "--point", "0,0,0"]) == 1
+
+    @pytest.mark.parametrize("point", ["1e120,0,0", "1e200,0,0"])
+    def test_non_finite_jacobian_exits_with_typed_error(self, point):
+        """F'(u) overflows to inf here; LAPACK's SVD can loop without end on
+        it, so the command runs in a subprocess with a timeout: a regression
+        fails instead of hanging the suite."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "singclass", "classify", "--gallery", "whitney",
+                               "--param", "k=3", "--point", point],
+                              capture_output=True, text=True, env=env, timeout=30)
+        assert proc.returncode == 1, proc.stderr
+        assert "F'(u) has an infinite or NaN entry" in proc.stderr
 
     def test_projection_flag(self, tmp_path):
         out = tmp_path / "r.txt"
@@ -202,6 +220,36 @@ class TestDeterminism:
         assert run(args + ["--out", str(a)]) == 0
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def _table_reports(tmp_path) -> list[str]:
+    """The classify report of every gallery-table point, then the verify
+    report of one invariance fixture, as the CLI writes them."""
+    from test_acceptance import classification_table
+
+    runs = []
+    for name, params in classification_table():
+        flags = [f for key, value in sorted(params.items()) for f in ("--param", f"{key}={value}")]
+        for exp in gallery_map(name, params).expected:
+            runs += [["classify", "--gallery", name, *flags, "--point", ",".join(map(repr, point))]
+                     for point in exp.points]
+    runs.append(["verify", "--gallery", "fold_t2", "--point", "0,0", "--trials", "5",
+                 "--seed", "3"])
+    texts = []
+    for args in runs:
+        out = tmp_path / "r.txt"
+        assert run(args + ["--out", str(out)]) in (0, 2)
+        texts.append(out.read_text())
+    return texts
+
+
+def test_unchecked_internal_jets_drop_no_check(tmp_path, monkeypatch):
+    """``jets._like`` skips the checks of ``Jet.__init__`` on internal
+    results; built through the checking constructor instead, every report
+    comes out byte-identical."""
+    fast = _table_reports(tmp_path)
+    monkeypatch.setattr(jets, "_like", lambda jet, coeffs: jets.Jet(jet.vars, jet.orders, coeffs))
+    assert _table_reports(tmp_path) == fast
 
 
 class TestConfigKeys:

@@ -84,7 +84,7 @@ class TestArithmetic:
 
 
 class TestJetLayout:
-    """The one truncated-product loop and the component-axis helpers."""
+    """The truncated product and the component-axis helpers."""
 
     ORDERS = (2, 1, 3)
 
@@ -163,6 +163,69 @@ class TestJetLayout:
         np.testing.assert_array_equal(jets.add_diag(A, plain), A + np.diag(plain))
 
 
+class TestTableProduct:
+    """The table-driven product (one gather per operand, one multiply, one
+    sum per output degree) against the direct multi-index convolution, over
+    orders with zeros, broadcast value shapes and all-zero blocks."""
+
+    VALUE_SHAPES = [((), ()), ((), (3,)), ((2, 3), ()), ((2, 3), (3,)), ((2, 1), (1, 4)), ((3,), (3,))]
+
+    @staticmethod
+    def draw_jet(data, rng, orders, value_shape):
+        """A random jet of the given context, with its degree-zero block, a
+        drawn higher block or no block set to zero."""
+        c = rng.standard_normal(tuple(value_shape) + tuple(o + 1 for o in orders))
+        zero = data.draw(st.sampled_from(["none", "constant", "higher"]))
+        if zero != "none":
+            mu = (0,) * len(orders) if zero == "constant" else tuple(
+                data.draw(st.integers(0, o)) for o in orders)
+            c[(Ellipsis, *mu)] = 0.0
+        return Jet(tuple("abc"[: len(orders)]), orders, c)
+
+    @staticmethod
+    def draw_context(data):
+        orders = tuple(data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+        return orders, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_product_matches_reference_convolution(self, data):
+        orders, rng = self.draw_context(data)
+        shape_a, shape_b = data.draw(st.sampled_from(self.VALUE_SHAPES))
+        a = self.draw_jet(data, rng, orders, shape_a)
+        b = self.draw_jet(data, rng, orders, shape_b)
+        ca, cb = np.broadcast_arrays(a.coeffs, b.coeffs)
+        want = np.empty(ca.shape)
+        for v in np.ndindex(*ca.shape[: ca.ndim - len(orders)]):
+            want[v] = reference_truncated_convolution(ca[v], cb[v], orders)
+        for got in (a * b, b * a):
+            assert got.coeffs.shape == want.shape
+            np.testing.assert_allclose(got.coeffs, want, rtol=1e-13, atol=1e-13)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matvec_matches_per_coefficient_oracle(self, data):
+        """(M x)[..., i] at degree nu is the sum over j and over a + b = nu of
+        M[..., i, j] at degree a times x[..., j] at degree b."""
+        orders, rng = self.draw_context(data)
+        batch_m, batch_x = data.draw(st.sampled_from(self.VALUE_SHAPES))
+        M = self.draw_jet(data, rng, orders, batch_m + (2, 3))
+        x = self.draw_jet(data, rng, orders, batch_x + (3,))
+        got = jets.matvec(M, x).coeffs
+        batch = np.broadcast_shapes(batch_m, batch_x)
+        Mb = np.broadcast_to(M.coeffs, batch + M.coeffs.shape[len(batch_m):])
+        xb = np.broadcast_to(x.coeffs, batch + x.coeffs.shape[len(batch_x):])
+        assert got.shape == batch + (2,) + M.jet_shape
+        want = np.zeros(got.shape)
+        for v in np.ndindex(*batch):
+            for i in range(2):
+                for nu in np.ndindex(*M.jet_shape):
+                    for mu in np.ndindex(*(d + 1 for d in nu)):
+                        rest = tuple(d - m for d, m in zip(nu, mu))
+                        want[v + (i,) + nu] += Mb[v + (i, slice(None)) + mu] @ xb[v + (slice(None),) + rest]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
 class TestMatrixPlusDiag:
     """The operator A + diag(d) acts as its ``dense`` fill does."""
 
@@ -203,6 +266,16 @@ class TestOrderZeroDegeneration:
     def test_analytic_ops_bitwise(self, x):
         jx = constant(x, ("s",), (0,))
         assert float(jx.exp().const) == math.exp(x) or float(jx.exp().const) == np.exp(x)
+
+
+def test_jets_without_variables_keep_array_coefficients():
+    """Sums and reductions of a jet with no variables give 0-d results;
+    every operation must still see an array."""
+    x = constant([1.0, 2.0])
+    assert float(x.vsum().nilpotent().const) == 0.0
+    s = -(x.component(0) + x.component(1)) * 2.0
+    assert float(s.exp().const) == math.exp(-6.0)
+    assert float((s * s).nilpotent().const) == 0.0
 
 
 class TestDirectionalDerivatives:

@@ -20,6 +20,18 @@ def test_only_jets_touches_the_coefficient_layout():
     assert hits == []
 
 
+def test_only_jets_builds_unchecked_jets():
+    """``jets._like`` builds a jet without the checks of ``Jet.__init__``, for
+    results derived inside ``jets``; no other module calls it or makes a jet
+    by ``object.__new__``."""
+    unchecked = re.compile(r"\b_like\b|object\.__new__\(\s*(jets\.)?Jet\b")
+    hits = [f"{path.name}:{no}: {line.strip()}"
+            for path in sorted(SRC.glob("*.py")) if path.name != "jets.py"
+            for no, line in enumerate(path.read_text().splitlines(), 1) if unchecked.search(line)]
+    assert hits == []
+    assert unchecked.search((SRC / "jets.py").read_text())
+
+
 def test_one_truncated_product_loop():
     counts = {path.name: path.read_text().count("np.ndindex") for path in SRC.glob("*.py")}
     assert {name: n for name, n in counts.items() if n} == {"jets.py": 1}

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singclass import jets, linalg
-from singclass.errors import SingularBorder
+from singclass.errors import NonFiniteMatrix, SingularBorder
 from singclass.jets import Jet, constant, unit
 
 
@@ -138,6 +138,16 @@ class TestBorderedSolve:
         A = np.diag([0.0, 1.0])
         with pytest.raises(SingularBorder):
             bordered(A, [0.0, 1.0], [0.0, 1.0], ([0.0, 0.0], 1.0))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_matrix_raises_before_any_svd(self, bad):
+        A = np.diag([bad, 1.0])
+        with pytest.raises(NonFiniteMatrix, match="F'\\(u\\)"):
+            linalg.Linearization.of_matrix(A)
+        with pytest.raises(NonFiniteMatrix, match="row stack"):
+            linalg.rank_decision(A)
+        with pytest.raises(NonFiniteMatrix, match="bordered matrix"):
+            linalg.border_factor(A, [1.0, 0.0], [1.0, 0.0])
 
     def test_jet_valued_fold_path(self):
         # frozen oracle by block elimination: A(s) = diag(2s, 1), b = c = e1,
