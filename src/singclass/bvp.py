@@ -138,12 +138,9 @@ def make_periodic_bvp(problem: PeriodicProblem) -> MapModel:
         # g acts on each component alone, so g'(x) is the first-order
         # coefficient of g(x + s*1) in one new variable s
         s = jets.fresh_name("diag")
-        if isinstance(x, jets.Jet):
-            xs = x.extend(x.vars + (s,), x.orders + (1,))
-        else:
-            xs = jets.constant(x, (s,), (1,))
+        xs = jets.constant(x, (s,), (1,))
         d = g_of(xs + jets.unit(xs.vars, xs.orders, s)).extract({s: 1})
-        return jets.MatrixPlusDiag(D, d) if isinstance(d, jets.Jet) else jets.add_diag(D, d)
+        return jets.add_diag(D, d)
 
     label = f"bvp({kind},N={N},{problem.scheme})"
     return MapModel(N, SMOOTH, ev, label, jac=jac)

@@ -39,7 +39,7 @@ from .errors import DepthCapExceeded, NotSimple, OrderExceedsSmoothness, Vanishi
 from .jets import Jet
 from .model import MapModel
 
-_ROW_BATCH_BUDGET = 1 << 20  # floats of the F'(x) jet (a MatrixPlusDiag's d) of one probe chunk
+_ROW_BATCH_BUDGET = 1 << 20  # floats of the F'(x) jet of one probe chunk (its d if jac is set)
 _SCALE_RADIUS = 0.5  # working neighbourhood on which a ScaleSpec must not vanish
 
 
@@ -139,12 +139,12 @@ class RescaledPair(PairBase):
         return replace(self, inner=self.inner.at(u, Fp0, tol))
 
     def psi(self, x, Fp):
-        return self.inner.psi(x, Fp) * self.beta(x)
+        return self.inner.psi(x, Fp) * jets.stack([self.beta(x)])
 
     def phi_j0(self, x, Fp):
         phi, j0 = self.inner.phi_j0(x, Fp)
-        alpha = self.alpha(x)
-        return phi * alpha, j0 * alpha * self.beta(x)
+        alpha = self.alpha(x)  # a scalar per batched point: stack adds the component axis
+        return phi * jets.stack([alpha]), j0 * alpha * self.beta(x)
 
 
 @dataclass(frozen=True)
@@ -227,10 +227,9 @@ class PointFunctionals:
         if k == 1:  # eps alone: a point that stops at I_1 pays for no s axis
             deepest = min(jets.NESTING_CAP, self.model.d - 1)  # s-coefficients of the last row
             eps = jets.unit((self._eps,), (1,), self._eps)
-            # F'(x) floats per probe and coefficient: n for a jac's D + diag(d), else n^2
-            diag = self.model.jac is not None and isinstance(
-                self.model.jac(eps * np.eye(n)[:1] + self.u), jets.MatrixPlusDiag)
-            chunk = max(1, _ROW_BATCH_BUDGET // ((n if diag else n * n) * 2 * deepest))
+            # F'(x) floats per probe and coefficient: n for a jac's operator, n^2 otherwise
+            per_probe = n if self.model.jac is not None else n * n
+            chunk = max(1, _ROW_BATCH_BUDGET // (per_probe * 2 * deepest))
             self._flow = [[eps * np.eye(n)[start : start + chunk] + self.u, None]
                           for start in range(0, n, chunk)]
         grads = []

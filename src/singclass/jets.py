@@ -18,7 +18,8 @@ unchecked ``_like``; ``Jet(...)`` checks every other construction.
 
 The helpers at the bottom (``exp``, ``comp``, ``stack``, ``matvec``, ...)
 dispatch on the argument type so the same map code runs on plain numpy
-arrays and on jets.
+arrays and on jets.  A model's own Jacobian at a jet point is the operator
+``MatrixPlusDiag``, which they apply without forming a dense jet matrix.
 """
 
 from __future__ import annotations
@@ -227,10 +228,7 @@ class Jet:
         k = self.njet
         if variables[:k] != self.vars or orders[:k] != self.orders:
             raise ValueError("target context must start with the current one")
-        added = orders[k:]
-        out = np.zeros(self.coeffs.shape + tuple(o + 1 for o in added))
-        out[(Ellipsis, *(0,) * len(added))] = self.coeffs
-        return Jet(variables, orders, out)
+        return constant(self, variables[k:], orders[k:])
 
 
 def _like(jet: Jet, coeffs: np.ndarray) -> Jet:
@@ -247,47 +245,52 @@ def _like(jet: Jet, coeffs: np.ndarray) -> Jet:
 
 
 def constant(value, variables: Sequence[str] = (), orders: Sequence[int] = ()) -> Jet:
-    arr = np.asarray(value, dtype=float)
+    """``value`` as a jet constant in ``variables``, after a jet value's own."""
+    own = (value.vars, value.orders) if isinstance(value, Jet) else ((), ())
+    arr = value.coeffs if isinstance(value, Jet) else np.asarray(value, dtype=float)
     out = np.zeros(arr.shape + tuple(int(o) + 1 for o in orders))
     out[(Ellipsis, *(0,) * len(orders))] = arr
-    return Jet(variables, orders, out)
+    return Jet(own[0] + tuple(variables), own[1] + tuple(orders), out)
 
 
-def add_diag(A, d) -> "Jet | np.ndarray":
-    """The (jet) matrix A + diag(d) for a plain square A and a (jet) vector d
-    (batch axes allowed), filled into one array: A is the constant term."""
-    c, nj = (d.coeffs, d.njet) if isinstance(d, Jet) else (np.asarray(d, dtype=float), 0)
-    vnd = c.ndim - nj
-    out = np.zeros(c.shape[:vnd] + c.shape[vnd - 1 :])  # a second component axis
-    out[(Ellipsis, slice(None), slice(None)) + (0,) * nj] = A
-    idx = np.arange(c.shape[vnd - 1])
-    out[(Ellipsis, idx, idx) + (slice(None),) * nj] += c
-    return _like(d, out) if isinstance(d, Jet) else out
+def add_diag(A, d) -> "MatrixPlusDiag | np.ndarray":
+    """A + diag(d) for a plain square A: a plain matrix at a plain vector d
+    (batch axes allowed), and the operator ``MatrixPlusDiag(A, d)`` at a jet d."""
+    if isinstance(d, Jet):
+        return MatrixPlusDiag(A, d)
+    return A + d[..., None] * np.eye(d.shape[-1])
 
 
 class MatrixPlusDiag:
-    """The jet matrix A + diag(d) of a plain square A (None for zero) and a jet
-    vector d (batch axes allowed), kept apart: ``matvec`` multiplies by d
-    elementwise, so no dense (..., n, n) jet is formed; ``dense`` fills one."""
+    """The jet matrix L (A + diag(d)) R of plain square matrices L, A and R
+    (None for the identity, or for zero as A) and a jet vector d (batch axes
+    allowed), kept apart: no dense (..., n, n) jet is formed.  ``@`` composes
+    a plain matrix into L or R.  Only this module reads the parts."""
 
-    __slots__ = ("A", "d")
+    __slots__ = ("_left", "_mat", "_diag", "_right")
+    __array_ufunc__ = None  # numpy defers ``ndarray @ op`` to ``__rmatmul__``
 
-    def __init__(self, A, d: Jet):
-        self.A, self.d = A, d
+    def __init__(self, mat, diag: Jet, left=None, right=None):
+        self._left, self._mat, self._diag, self._right = left, mat, diag, right
 
     @property
     def vars(self) -> tuple[str, ...]:
-        return self.d.vars
+        return self._diag.vars
 
     @property
     def orders(self) -> tuple[int, ...]:
-        return self.d.orders
+        return self._diag.orders
 
     def nilpotent(self) -> "MatrixPlusDiag":
-        return MatrixPlusDiag(None, self.d.nilpotent())
+        return MatrixPlusDiag(None, self._diag.nilpotent(), self._left, self._right)
 
-    def dense(self) -> Jet:
-        return add_diag(0.0 if self.A is None else self.A, self.d)
+    def __matmul__(self, R: np.ndarray) -> "MatrixPlusDiag":
+        right = R if self._right is None else self._right @ R
+        return MatrixPlusDiag(self._mat, self._diag, self._left, right)
+
+    def __rmatmul__(self, L: np.ndarray) -> "MatrixPlusDiag":
+        left = L if self._left is None else L @ self._left
+        return MatrixPlusDiag(self._mat, self._diag, left, self._right)
 
 
 def integrate(x: Jet, name: str, order: int) -> Jet:
@@ -388,9 +391,10 @@ def matvec(A, x):
     """Product of a plain matrix with a (jet) vector, or of a jet matrix or a
     ``MatrixPlusDiag`` with a jet vector or a plain vector without batch axes,
     along the component axis."""
-    if isinstance(A, MatrixPlusDiag):
-        y = A.d * x
-        return y if A.A is None else y + matvec(A.A, x)
+    if isinstance(A, MatrixPlusDiag):  # R, then A and d, then L
+        x = x if A._right is None else matvec(A._right, x)
+        y = A._diag * x if A._mat is None else A._diag * x + matvec(A._mat, x)
+        return y if A._left is None else matvec(A._left, y)
     if isinstance(A, Jet):
         if not isinstance(x, Jet):  # one product per coefficient of A
             x = np.asarray(x, dtype=float)
@@ -414,7 +418,8 @@ def dot(v: np.ndarray, x):
 def transpose_mat(M: "Jet | MatrixPlusDiag | np.ndarray"):
     """Transpose the two trailing value axes of a (jet) matrix."""
     if isinstance(M, MatrixPlusDiag):
-        return MatrixPlusDiag(None if M.A is None else M.A.T, M.d)
+        mat, left, right = (None if P is None else P.T for P in (M._mat, M._left, M._right))
+        return MatrixPlusDiag(mat, M._diag, right, left)
     if not isinstance(M, Jet):
         return np.swapaxes(M, -2, -1)
     return _like(M, np.swapaxes(M.coeffs, M.value_ndim - 2, M.value_ndim - 1))
@@ -427,22 +432,20 @@ def jacobian(model, x) -> "Jet | MatrixPlusDiag | np.ndarray":
     """Jacobian F'(x) of a MapModel-like object, at a plain or jet point.
 
     Returns ``J[..., i, j] = dF_i/dx_j``: a plain array at a plain point, and
-    at a jet point a jet or, from a model's ``jac``, a ``MatrixPlusDiag``.
-    Uses the model's own ``jac`` when it has one; otherwise costs one model
-    evaluation batched over the n probe directions.
+    at a jet point the ``MatrixPlusDiag`` of a model's ``jac`` (anything else
+    raises TypeError) or, for a model without one, the dense probe Jacobian
+    jet, which costs one model evaluation batched over the n probe directions.
     """
-    if not isinstance(x, Jet):
-        x = np.asarray(x, dtype=float)
     jac = getattr(model, "jac", None)
     if jac is not None:
-        return jac(x)
+        J = jac(x)
+        if isinstance(x, Jet) and not isinstance(J, MatrixPlusDiag):
+            raise TypeError(f"jac at a jet point returned {type(J).__name__}, not a MatrixPlusDiag")
+        return J
     pv = fresh_name("jac")
     n = model.n
-    if isinstance(x, Jet):
-        base = x.extend(x.vars + (pv,), x.orders + (1,))
-        base = _like(base, np.expand_dims(base.coeffs, axis=base.value_ndim - 1))
-    else:
-        base = constant(x[..., None, :], (pv,), (1,))
+    base = constant(x, (pv,), (1,))
+    base = _like(base, np.expand_dims(base.coeffs, axis=base.value_ndim - 1))  # a probe axis
     probe = unit(base.vars, base.orders, pv)
     X = base + probe * np.eye(n)
     Y = model.eval(X)

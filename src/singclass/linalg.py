@@ -97,7 +97,8 @@ def linearize(model, u, tol: float = DEFAULT_RANK_TOL) -> Linearization:
     if isinstance(u, Linearization):
         return u
     u = np.asarray(u, dtype=float)
-    return Linearization.of_matrix(jets.jacobian(model, u), tol, u)
+    with np.errstate(over="ignore", invalid="ignore"):  # of_matrix rejects what overflowed
+        return Linearization.of_matrix(jets.jacobian(model, u), tol, u)
 
 
 def lu_solve_jet(lu_piv, r: Jet, trans: int = 0) -> Jet:
@@ -144,7 +145,7 @@ def bordered_solve(A, b, c, rhs, lu_piv, trans: int = 0):
     r1, r2 = rhs
     n = len(b)
     R = np.append(np.asarray(r1, dtype=float), r2)
-    if not isinstance(A, (Jet, jets.MatrixPlusDiag)):
+    if isinstance(A, np.ndarray):
         sol = lu_solve(lu_piv, R, trans=trans)
         return sol[:n], float(sol[n])
     N = jets.transpose_mat(A.nilpotent()) if trans else A.nilpotent()

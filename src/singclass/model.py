@@ -18,10 +18,10 @@ SMOOTH = 64  # sentinel smoothness order for C-infinity models
 class MapModel:
     """A smooth map F: R^n -> R^n evaluable at plain and jet-valued points.
 
-    ``jac``, when given, evaluates the Jacobian F'(x) at plain and jet points
-    with value shape ``(..., n, n)``, at a jet point as a jet or a
-    ``jets.MatrixPlusDiag``; it must equal the probe Jacobian of ``eval``
-    (see ``jets.jacobian``).
+    ``jac``, when given, evaluates the Jacobian F'(x) with value shape
+    ``(..., n, n)``: a plain array at a plain point and a
+    ``jets.MatrixPlusDiag`` at a jet point.  It must equal the probe Jacobian
+    of ``eval`` (see ``jets.jacobian``); ``conjugate`` keeps it an operator.
     """
 
     n: int
@@ -83,14 +83,10 @@ def conjugate(model: MapModel, pair: AffinePair) -> MapModel:
 
     jac = None
     if model.jac is not None:
-        g_inv_t = g_inv.T
-
         def jac(x):
-            # delta . J(gamma^{-1} x) . gamma^{-1}; matvec acts on the last axis
-            J = model.jac(jets.matvec(g_inv, x - g_shift))
-            J = J.dense() if isinstance(J, jets.MatrixPlusDiag) else J
-            right = jets.transpose_mat(jets.matvec(g_inv_t, J))
-            return jets.transpose_mat(jets.matvec(d_mat, right))
+            # delta . F'(gamma^{-1} x) . gamma^{-1}: an array at a plain point; at a
+            # jet point the operator takes delta and gamma^{-1} as its L and R
+            return d_mat @ model.jac(jets.matvec(g_inv, x - g_shift)) @ g_inv
 
     return MapModel(model.n, model.d, ev, label=f"{model.label}~affine", jac=jac)
 

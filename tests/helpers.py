@@ -70,6 +70,40 @@ def reference_differentiation_matrix(N: int, scheme: str = "spectral") -> np.nda
     return D
 
 
+def dense_jacobian(op: jets.MatrixPlusDiag) -> Jet:
+    """The operator L (A + diag d) R filled into one dense (..., n, n) jet
+    matrix: A, L and R act on the constant term and every coefficient alike
+    (a None L or R is skipped, a None A is zero), d sits on the diagonal.
+    The oracle for the operator's ``matvec``, ``transpose_mat`` and
+    ``nilpotent``; it reads the parts that only ``jets`` reads in ``src``."""
+    d = op._diag
+    c, nj, vnd = d.coeffs, d.njet, d.value_ndim
+    out = np.zeros(c.shape[:vnd] + c.shape[vnd - 1:])  # a second component axis
+    if op._mat is not None:
+        out[(Ellipsis, slice(None), slice(None)) + (0,) * nj] = op._mat
+    idx = np.arange(c.shape[vnd - 1])
+    out[(Ellipsis, idx, idx) + (slice(None),) * nj] += c
+    m = np.moveaxis(out, (vnd - 1, vnd), (-2, -1))  # jet axes before the matrix axes
+    m = m if op._left is None else op._left @ m
+    m = m if op._right is None else m @ op._right
+    return Jet(d.vars, d.orders, np.moveaxis(m, (-2, -1), (vnd - 1, vnd)))
+
+
+def record_jet_jacobians(monkeypatch) -> list:
+    """Patch ``jets.jacobian`` to record the type of each Jacobian it returns
+    at a jet point; returns the list it appends to."""
+    kinds, jacobian = [], jets.jacobian
+
+    def recording(model, x):
+        J = jacobian(model, x)
+        if isinstance(x, Jet):
+            kinds.append(type(J))
+        return J
+
+    monkeypatch.setattr(jets, "jacobian", recording)
+    return kinds
+
+
 def identity_affine(n: int) -> AffinePair:
     z = np.zeros(n)
     return AffinePair(np.eye(n), z, np.eye(n), z)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import reference_differentiation_matrix
+from helpers import dense_jacobian, record_jet_jacobians, reference_differentiation_matrix
 from singclass import jets
 from singclass.bvp import (
     PeriodicProblem,
@@ -114,8 +114,9 @@ def _max_rel_diff(got, want) -> float:
 
 
 class TestStructuredJacobian:
-    """The periodic problem's own Jacobian against the probe Jacobian of the
-    same map; at a jet point it is a ``MatrixPlusDiag``, compared densely."""
+    """The periodic problem's own Jacobian, plain, conjugated or conjugated
+    twice, against the probe Jacobian of the same map; at a jet point it is a
+    ``MatrixPlusDiag``, compared through the dense fill of ``helpers``."""
 
     @staticmethod
     def points(N, rng):
@@ -135,13 +136,14 @@ class TestStructuredJacobian:
                                   scheme=scheme, **G_KINDS[kind])
         model = make_periodic_bvp(problem)
         assert model.jac is not None
-        for m in (model, conjugate(model, random_affine_pair(N, rng))):
+        once = conjugate(model, random_affine_pair(N, rng))
+        for m in (model, once, conjugate(once, random_affine_pair(N, rng))):
             probe = dataclasses.replace(m, jac=None)
             for x in self.points(N, rng):
                 got = jets.jacobian(m, x)
-                if m is model and isinstance(x, jets.Jet):
+                if isinstance(x, jets.Jet):
                     assert isinstance(got, jets.MatrixPlusDiag)
-                    got = got.dense()
+                    got = dense_jacobian(got)
                 want = jets.jacobian(probe, x)
                 assert _max_rel_diff(got, want) <= 1e-13
 
@@ -168,18 +170,16 @@ class TestStructuredJacobian:
 
 
     def test_jet_points_form_no_dense_jacobian(self, monkeypatch):
-        calls = []
-        fill = jets.add_diag
-
-        def recording(A, d):
-            calls.append(isinstance(d, jets.Jet))
-            return fill(A, d)
-
-        monkeypatch.setattr(jets, "add_diag", recording)
+        """Every jet-point Jacobian of the plain and of a conjugated problem,
+        on both routes, is the operator."""
+        kinds = record_jet_jacobians(monkeypatch)
         model = make_periodic_bvp(PeriodicProblem(N=64, a_terms=A_SIN, p_terms=P_ONE))
-        c = classify_point(model, np.zeros(64), route="both")
-        assert c.describe() == "KSingularity(3)" and c.evidence.route_agreement
-        assert calls and not any(calls)  # plain Jacobians only
+        affine = random_affine_pair(64, np.random.default_rng(5))
+        for m, u in ((model, np.zeros(64)), (conjugate(model, affine), affine.gamma_shift)):
+            kinds.clear()
+            c = classify_point(m, u, route="both")
+            assert c.describe() == "KSingularity(3)" and c.evidence.route_agreement
+            assert kinds and set(kinds) == {jets.MatrixPlusDiag}
 
 
 class TestAnalyticOracle:

@@ -83,7 +83,8 @@ class TestClassifyCommand:
                                "--param", "k=3", "--point", point],
                               capture_output=True, text=True, env=env, timeout=30)
         assert proc.returncode == 1, proc.stderr
-        assert "F'(u) has an infinite or NaN entry" in proc.stderr
+        assert "error: F'(u) has an infinite or NaN entry" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_projection_flag(self, tmp_path):
         out = tmp_path / "r.txt"

@@ -19,7 +19,7 @@ from singclass.gallery import gallery_map
 from singclass.linalg import linearize, rank_decision
 from singclass.model import conjugate, random_affine_pair
 
-from helpers import contraction, identity_affine, lie_J, nested_row, pair_transform
+from helpers import contraction, dense_jacobian, identity_affine, lie_J, nested_row, pair_transform
 from test_acceptance import INVARIANCE_FIXTURES, classification_table
 
 TOL = Tolerances()
@@ -334,7 +334,7 @@ def j0_pairs(model, base):
 
 
 def coeffs(v) -> np.ndarray:
-    v = v.dense() if isinstance(v, jets.MatrixPlusDiag) else v
+    v = dense_jacobian(v) if isinstance(v, jets.MatrixPlusDiag) else v
     return np.asarray(v.coeffs if isinstance(v, jets.Jet) else v)
 
 
@@ -472,6 +472,24 @@ class TestFlowRows:
             model, u = conjugate(model, affine), affine.gamma_shift
         assert_rows_match_nested(model, u, make_fibering_pair(model, u), 3)
 
+    def test_rescaling_field_scales_each_probe(self):
+        """alpha is one scalar per probe direction: with all n probes in one
+        chunk, phi * alpha must scale each probe's phi, not broadcast the
+        probe axis of alpha against the component axis of phi.  Centred at u,
+        a quadratic rescaling obeys J_3 -> alpha(u)^4 beta(u) J_3 where
+        J_1 = J_2 = 0, as the unbatched nested Lie derivative does."""
+        N = 32
+        model, u = quartic_bvp(N), np.zeros(N)
+        pair = make_fibering_pair(model, u)
+        Q = 0.1 * np.random.default_rng(7).standard_normal((N, N))
+        scaled = rescale_pair(pair, ScaleSpec(0.7, quad=(Q + Q.T) / 2, center=u),
+                              ScaleSpec(-1.5, quad=Q @ Q.T / N, center=u))
+        pf = PointFunctionals(model, scaled, u)
+        j3 = pf.J(3)
+        assert len(pf._flow) == 1
+        assert j3 == pytest.approx(0.7**4 * -1.5 * PointFunctionals(model, pair, u).J(3), rel=1e-9)
+        assert j3 == pytest.approx(lie_J(pf, 3), rel=1e-9)
+
     def test_deep_row_first_equals_rows_in_order(self, monkeypatch):
         # a probe Jacobian is a dense jet per probe, so N = 48 takes several chunks;
         # the jac's D + diag(d) takes n floats per probe, so a smaller budget splits it
@@ -490,14 +508,14 @@ class TestFlowRows:
 
     @pytest.mark.parametrize("conjugated", [False, True], ids=["plain", "conjugated"])
     def test_chunk_jacobians_fit_the_budget(self, conjugated, monkeypatch):
-        # conjugate fills the jac's D + diag(d) into a dense (chunk, n, n) jet, so
-        # a conjugated problem is chunked by n^2 floats per probe, as a probe Jacobian is
+        # conjugate keeps the jac's operator, D + diag(d) between delta and gamma^-1,
+        # so a conjugated problem is chunked by n floats per probe, as the plain one is
         sizes, jacobian = [], jets.jacobian
 
         def recording(model, x):
             J = jacobian(model, x)
             if isinstance(x, jets.Jet):
-                sizes.append((J.d if isinstance(J, jets.MatrixPlusDiag) else J).coeffs.size)
+                sizes.append(J._diag.coeffs.size)
             return J
 
         monkeypatch.setattr(jets, "jacobian", recording)
@@ -508,7 +526,7 @@ class TestFlowRows:
             model, u = conjugate(model, affine), affine.gamma_shift
         pf = PointFunctionals(model, make_fibering_pair(model, u), u)
         pf.row(3)
-        per_probe, deepest = (N * N if conjugated else N), min(jets.NESTING_CAP, model.d - 1)
+        per_probe, deepest = N, min(jets.NESTING_CAP, model.d - 1)
         chunk = fibering._ROW_BATCH_BUDGET // (per_probe * 2 * deepest)
         assert len(pf._flow) == -(-N // chunk)
         assert len(sizes) == 3 * len(pf._flow)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fd_directional, nested_lie_derivative, reference_truncated_convolution
+from helpers import (dense_jacobian, fd_directional, nested_lie_derivative,
+                     reference_truncated_convolution)
 from singclass import jets
 from singclass.errors import DepthCapExceeded, OrderExceedsSmoothness
 from singclass.gallery import gallery_map
@@ -154,13 +156,16 @@ class TestJetLayout:
         A = rng.standard_normal((3, 3))
         d = self.random_jet(rng, (2, 3))
         got = jets.add_diag(A, d)
+        assert isinstance(got, jets.MatrixPlusDiag) and (got._left, got._right) == (None, None)
         want = np.zeros((2, 3) + d.coeffs.shape[1:])
         want[..., 0, 0, 0] = A
         for i in range(3):
             want[:, i, i] += d.coeffs[:, i]
-        np.testing.assert_array_equal(got.coeffs, want)
+        np.testing.assert_array_equal(dense_jacobian(got).coeffs, want)
         plain = rng.standard_normal(3)
         np.testing.assert_array_equal(jets.add_diag(A, plain), A + np.diag(plain))
+        batch = rng.standard_normal((2, 3))
+        np.testing.assert_array_equal(jets.add_diag(A, batch), [A + np.diag(row) for row in batch])
 
 
 class TestTableProduct:
@@ -227,27 +232,52 @@ class TestTableProduct:
 
 
 class TestMatrixPlusDiag:
-    """The operator A + diag(d) acts as its ``dense`` fill does."""
+    """The operator L (A + diag(d)) R acts as its dense fill (``helpers``)
+    does: as built by ``add_diag``, and composed with plain matrices on both
+    sides once and twice, as nested ``conjugate`` calls compose it."""
 
     def test_operations_match_dense(self):
         rng = np.random.default_rng(12)
         names, orders = ("a", "b"), (2, 1)
-        op = jets.MatrixPlusDiag(rng.standard_normal((3, 3)),
-                                 Jet(names, orders, rng.standard_normal((2, 3, 3, 2))))
+        op = jets.add_diag(rng.standard_normal((3, 3)),
+                           Jet(names, orders, rng.standard_normal((2, 3, 3, 2))))
         x = Jet(names, orders, rng.standard_normal((3, 3, 2)))
         w = rng.standard_normal(3)
-        dense = op.dense()
-        assert isinstance(dense, Jet) and dense.value_shape == (2, 3, 3)
-        assert (op.vars, op.orders) == (dense.vars, dense.orders)
-        nil = op.nilpotent()
-        assert nil.A is None
-        cases = [(op, dense), (jets.transpose_mat(op), jets.transpose_mat(dense)),
-                 (nil, dense.nilpotent()), (jets.transpose_mat(nil), jets.transpose_mat(nil.dense()))]
-        for got, want in cases:
-            np.testing.assert_array_equal(got.dense().coeffs, want.coeffs)
-            for v in (x, w):
-                np.testing.assert_allclose(jets.matvec(got, v).coeffs, jets.matvec(want, v).coeffs,
-                                           rtol=1e-13, atol=1e-13)
+        for depth in range(3):
+            if depth:
+                op = rng.standard_normal((3, 3)) @ op @ rng.standard_normal((3, 3))
+            assert isinstance(op, jets.MatrixPlusDiag)
+            assert (op._left is None, op._right is None) == (depth == 0, depth == 0)
+            dense = dense_jacobian(op)
+            assert dense.value_shape == (2, 3, 3)
+            assert (op.vars, op.orders) == (dense.vars, dense.orders)
+            nil = op.nilpotent()
+            assert nil._mat is None and nil._left is op._left and nil._right is op._right
+            cases = [(op, dense), (jets.transpose_mat(op), jets.transpose_mat(dense)),
+                     (nil, dense.nilpotent()),
+                     (jets.transpose_mat(nil), jets.transpose_mat(dense_jacobian(nil)))]
+            for got, want in cases:
+                if depth == 0:  # no L or R: the fill is exact
+                    np.testing.assert_array_equal(dense_jacobian(got).coeffs, want.coeffs)
+                else:  # a transposed L or R associates the products differently
+                    np.testing.assert_allclose(dense_jacobian(got).coeffs, want.coeffs,
+                                               rtol=1e-13, atol=1e-13)
+                for v in (x, w):
+                    np.testing.assert_allclose(jets.matvec(got, v).coeffs,
+                                               jets.matvec(want, v).coeffs, rtol=1e-13, atol=1e-13)
+
+    def test_jacobian_rejects_a_dense_jac_at_jet_points(self):
+        """A ``jac`` must return the operator at a jet point; the probe
+        Jacobian returned as a dense jet raises TypeError, and is still
+        accepted at a plain point."""
+        probe = gallery_map("whitney", {"k": 2}).model
+        model = dataclasses.replace(probe, jac=lambda x: jets.jacobian(probe, x))
+        u = 0.1 * np.arange(model.n)
+        np.testing.assert_array_equal(jets.jacobian(model, u), jets.jacobian(probe, u))
+        x = constant(u, ("a",), (1,)) + unit(("a",), (1,), "a") * np.ones(model.n)
+        with pytest.raises(TypeError, match="MatrixPlusDiag"):
+            jets.jacobian(model, x)
+
 
 class TestOrderZeroDegeneration:
     """All orders zero must reproduce plain float arithmetic bit for bit."""
@@ -397,6 +427,9 @@ class TestExtend:
         rest = y.coeffs.copy()
         rest[..., 0, 0] = 0.0
         assert not rest.any()
+        lifted = jets.constant(x, ("a", "b"), (1, 2))  # a jet value keeps its own variables first
+        assert (lifted.vars, lifted.orders) == (y.vars, y.orders)
+        np.testing.assert_array_equal(lifted.coeffs, y.coeffs)
 
     @pytest.mark.parametrize(
         "variables, orders", [(("a", "s"), (1, 2)), (("s", "a"), (1, 1)), (("t", "a"), (2, 1))]

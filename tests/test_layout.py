@@ -118,3 +118,19 @@ def test_pairs_are_bound_by_at():
     assert writes == []
     scaling = {"phi_scale", "psi_scale", "with_normalization"}
     assert _members(classes["FiberingPair"]) & scaling == set()
+
+
+def test_only_jets_names_the_jacobian_operator():
+    """A model's ``jac`` returns ``jets.MatrixPlusDiag`` at a jet point, and
+    every other module reaches it through ``jets.add_diag``, ``matvec``,
+    ``transpose_mat``, ``nilpotent`` and ``@`` alone: outside ``jets``, no code
+    names the class or reads one of its parts, whose private slot names are
+    the operator's own.  Docstrings may name it."""
+    from singclass.jets import MatrixPlusDiag
+
+    names = {"MatrixPlusDiag", *MatrixPlusDiag.__slots__}
+    hits = [f"{path.name}:{node.lineno}: {getattr(node, 'id', None) or node.attr}"
+            for path in sorted(SRC.glob("*.py")) if path.name != "jets.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if (getattr(node, "id", None) or getattr(node, "attr", None)) in names]
+    assert hits == []

@@ -25,3 +25,12 @@ def test_quartic_experiment_runs(scheme):
     proc = run_script("quartic_experiment.py", "--n", "16", "--scheme", scheme)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("== ") == 2
+
+
+def test_conjugation_scaling_runs():
+    proc = run_script("conjugation_scaling.py", "--n", "32")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert [row[:3] for row in rows[:2]] == [["32", "plain", "KSingularity(3)"],
+                                            ["32", "conjugated", "KSingularity(3)"]]
+    assert rows[2][:2] == ["32", "ratio"]

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from helpers import record_jet_jacobians
 from singclass import jets
+from singclass.bvp import PeriodicProblem, make_periodic_bvp
 from singclass.gallery import gallery_map
 from singclass.verify import scaling_law_error, verify_problem
 
@@ -69,6 +71,20 @@ def test_base_point_is_linearized_once(monkeypatch):
     rec = verify_problem(model, u, trials=20, seed=7)
     assert rec.rescale_trials == 20 and rec.stratification is not None
     assert len(calls) == 1
+
+
+def test_periodic_problem_record_keeps_the_operator_under_conjugation(monkeypatch):
+    """The quartic periodic problem carries ``jac``: every conjugated trial
+    classifies as the base point does, and every jet-point Jacobian built on
+    the way, the conjugated models' included, is the operator."""
+    kinds = record_jet_jacobians(monkeypatch)
+    model = make_periodic_bvp(PeriodicProblem(N=32, a_terms=((1, 0.0, 1.0),),
+                                              p_terms=((0, 1.0, 0.0),)))
+    rec = verify_problem(model, np.zeros(32), trials=5, seed=0)
+    assert rec.passed
+    assert (rec.base.kind, rec.base.k) == ("KSingularity", 3)
+    assert rec.conjugate_trials == 5 and rec.conjugate_failures == 0
+    assert kinds and set(kinds) == {jets.MatrixPlusDiag}
 
 
 @pytest.mark.parametrize("trials", [0, -4])
