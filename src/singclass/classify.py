@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import jets, linalg
+from . import linalg
 from .fibering import PairBase, PointFunctionals, make_fibering_pair
 from .lsreduce import local_representation
 from .model import MapModel
@@ -33,8 +33,6 @@ K_SINGULARITY = "KSingularity"
 MAXIMAL_K_TRANSVERSE = "MaximalKTransverse"
 TRANSVERSE_UP_TO_CAP = "TransverseUpToCap"
 INDETERMINATE = "Indeterminate"
-
-K_CAP_MAX = jets.NESTING_CAP  # the depth cap of PointFunctionals.row (I_k: s-order k - 1)
 
 
 @dataclass(frozen=True)
@@ -76,13 +74,10 @@ class RouteEvidence:
 
 @dataclass
 class ClassificationReport:
-    point: np.ndarray
-    kdim: int
     jacobian_singular_values: list[float]
     route: str
     routes: list[RouteEvidence]
     route_agreement: bool | None = None
-    projected: bool = False
 
 
 @dataclass
@@ -166,13 +161,11 @@ def classify_point(
     """
     if route not in ("fibering", "ls", "both"):
         raise ValueError(f"unknown route {route!r}")
-    if not 1 <= k_cap <= K_CAP_MAX:
-        raise ValueError(f"k_cap must be between 1 and {K_CAP_MAX}")
+    if k_cap < 1:
+        raise ValueError("k_cap must be at least 1")
     lin = linalg.linearize(model, u, tol.rank)
     kdim = lin.kdim
     report = ClassificationReport(
-        point=lin.u,
-        kdim=kdim,
         jacobian_singular_values=[float(s) for s in lin.singular_values],
         route=route,
         routes=[],

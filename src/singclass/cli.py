@@ -247,7 +247,7 @@ def _emit(cfg: AnalysisConfig, report: str, model: MapModel,
         sys.stdout.write(text)
 
 
-def _classification_entries(c: Classification) -> list[tuple[str, object]]:
+def _classification_entries(c: Classification, projected: bool) -> list[tuple[str, object]]:
     e = [
         ("result.kind", c.kind),
         ("result.k", c.k),
@@ -255,7 +255,7 @@ def _classification_entries(c: Classification) -> list[tuple[str, object]]:
         ("result.transversality_order", c.transversality_order),
         ("result.stage", c.stage),
         ("result.route_agreement", c.evidence.route_agreement),
-        ("result.projected", c.evidence.projected),
+        ("result.projected", projected),
         ("jacobian.singular_values", c.evidence.jacobian_singular_values),
     ]
     for ev in c.evidence.routes:
@@ -273,9 +273,8 @@ def cmd_classify(cfg: AnalysisConfig) -> int:
         pair = bordered_pair(model, point, cfg.tol.rank)
         point = stratamod.project_to_singular(model, point, pair, tol=cfg.tol)
     c = classify_point(model, point, k_cap=cfg.k_cap, tol=cfg.tol, route=cfg.route)
-    c.evidence.projected = cfg.project
     _emit(cfg, "classify", model,
-          [("point", [float(x) for x in point])] + _classification_entries(c))
+          [("point", [float(x) for x in point])] + _classification_entries(c, cfg.project))
     return EXIT_INDETERMINATE if c.kind == INDETERMINATE else EXIT_OK
 
 
@@ -331,7 +330,7 @@ def cmd_bvp(cfg: AnalysisConfig) -> int:
         raise ConfigParseError("bvp analysis needs coefficient terms (bvp.a)")
     model, point = build_problem(cfg)
     c = classify_point(model, point, k_cap=cfg.k_cap, tol=cfg.tol, route=cfg.route)
-    entries = _classification_entries(c)
+    entries = _classification_entries(c, False)
     if cfg.bvp_g == "quartic" and not np.any(point):
         check = bvpmod.quartic_cross_check(cfg.bvp_a, cfg.bvp_p, N=cfg.bvp_n,
                                            scheme=cfg.bvp_scheme, tol=cfg.tol.rank)

@@ -9,10 +9,6 @@ class OrderExceedsSmoothness(SingclassError):
     """A derivative order beyond the map's declared smoothness was requested."""
 
 
-class DepthCapExceeded(SingclassError):
-    """A row I_k beyond the depth cap of the Taylor flow (I_8)."""
-
-
 class NonFiniteMatrix(SingclassError):
     """A matrix to be decomposed has an infinite or NaN entry."""
 

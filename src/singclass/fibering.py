@@ -35,11 +35,12 @@ from typing import Callable
 import numpy as np
 
 from . import jets, linalg
-from .errors import DepthCapExceeded, NotSimple, OrderExceedsSmoothness, VanishingScale
+from .errors import NotSimple, OrderExceedsSmoothness, VanishingScale
 from .jets import Jet
 from .model import MapModel
 
-_ROW_BATCH_BUDGET = 1 << 20  # floats of the F'(x) jet of one probe chunk (its d if jac is set)
+# floats of one probe chunk's F'(x) jet (its d if jac is set) at row min(d - 1, n + 1)
+_ROW_BATCH_BUDGET = 1 << 20
 _SCALE_RADIUS = 0.5  # working neighbourhood on which a ScaleSpec must not vanish
 
 
@@ -77,8 +78,7 @@ class FiberingPair(PairBase):
 
     def _solve(self, Fp, trans: int):
         rhs = (np.zeros(self.border_b.shape[0]), 1.0)
-        return linalg.bordered_solve(Fp, self.border_b, self.border_c, rhs, self.border_lu,
-                                     trans=trans)
+        return linalg.bordered_solve(Fp, rhs, self.border_lu, trans=trans)
 
     def psi(self, x, Fp):
         return self._solve(Fp, 1)[0]
@@ -212,8 +212,6 @@ class PointFunctionals:
     def row(self, k: int) -> np.ndarray:
         """I_k(u) as a length-n row vector (gradient of J_{k-1}); rows
         I_1 .. I_k are computed in order."""
-        if k > jets.NESTING_CAP:
-            raise DepthCapExceeded(f"row {k} is beyond the depth cap {jets.NESTING_CAP}")
         if k > self.model.d - 1:
             raise OrderExceedsSmoothness(f"row {k} undefined for smoothness {self.model.d}")
         while len(self._rows) < k:
@@ -225,7 +223,7 @@ class PointFunctionals:
         phi(x_{k-1}), exact through s^(k-1); keeps phi(x_k) for row k+1."""
         n, k = self.model.n, len(self._rows) + 1
         if k == 1:  # eps alone: a point that stops at I_1 pays for no s axis
-            deepest = min(jets.NESTING_CAP, self.model.d - 1)  # s-coefficients of the last row
+            deepest = min(self.model.d - 1, n + 1)  # row k + 1 follows k <= n independent rows
             eps = jets.unit((self._eps,), (1,), self._eps)
             # F'(x) floats per probe and coefficient: n for a jac's operator, n^2 otherwise
             per_probe = n if self.model.jac is not None else n * n

@@ -148,6 +148,7 @@ def gallery_map(name: str, params: dict | None = None) -> GalleryEntry:
         k = _int_param(params, "k", 1)
         n_exp = _int_param(params, "n", 0)
         dimz = _int_param(params, "dimZ", 1)
+        # k <= 8: the verified fixtures; deeper ones wait on a rank test for |I_k| ~ k!
         _check(0 <= k <= 8, "k must be in 0..8")
         _check(0 <= n_exp <= 12, "n must be in 0..12")
         label = f"family_kn(k={k},n={n_exp},dimZ={dimz})"
@@ -155,7 +156,7 @@ def gallery_map(name: str, params: dict | None = None) -> GalleryEntry:
     # whitney, transverse_k and l2_truncated, whose N is an alias of k
     k = _int_param(params, "k", 1 if name == "whitney" else _int_param(params, "N", 2))
     dimz = _int_param(params, "dimZ", 0)
-    _check(1 <= k <= 8, "k must be in 1..8")
+    _check(1 <= k <= 8, "k must be in 1..8")  # the verified fixtures, as above
     label = f"{name}(k={k},dimZ={dimz})"
     if name == "whitney":
         return _unfolding(name, {"k": k, "dimZ": dimz}, label, k - 1, k + 1, dimz)

@@ -33,8 +33,6 @@ import numpy as np
 
 from .errors import OrderExceedsSmoothness
 
-NESTING_CAP = 8
-
 _counter = itertools.count()
 
 

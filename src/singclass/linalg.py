@@ -133,17 +133,17 @@ def solve_passes(lu_piv, R: Jet, nil_apply, trans: int = 0) -> Jet:
     return X
 
 
-def bordered_solve(A, b, c, rhs, lu_piv, trans: int = 0):
+def bordered_solve(A, rhs, lu_piv, trans: int = 0):
     """Solution (x, s) of [[A, b], [c^T, 0]] (x, s) = rhs, or with ``trans=1``
     of the transposed system [[A^T, c], [b^T, 0]] (x, s) = rhs, against
-    ``lu_piv``, the ``border_factor`` of A's constant term.
+    ``lu_piv``, the ``border_factor`` of A's constant term and the border b, c.
 
     ``rhs`` is plain.  A jet or ``jets.MatrixPlusDiag`` A (batch axes allowed)
     gives jet solutions by ``solve_passes``: only A carries jet terms, so the
     nilpotent part acts as (N x, 0) on top of the constant-term bordered matrix.
     """
     r1, r2 = rhs
-    n = len(b)
+    n = len(r1)
     R = np.append(np.asarray(r1, dtype=float), r2)
     if isinstance(A, np.ndarray):
         sol = lu_solve(lu_piv, R, trans=trans)

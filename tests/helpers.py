@@ -9,10 +9,11 @@ from typing import Callable
 import numpy as np
 
 from singclass import jets
-from singclass.errors import DepthCapExceeded
 from singclass.fibering import PairBase, PointFunctionals
 from singclass.jets import Jet
 from singclass.model import AffinePair, MapModel, conjugate
+
+NESTED_DEPTH_CAP = 8  # a nested Lie derivative of depth k carries 2^k coefficients per jet
 
 
 def fd_directional(model: MapModel, u, v, order: int, step: float = 1e-4) -> np.ndarray:
@@ -127,8 +128,8 @@ def lie_value(scalar_field: Callable, vector_field: Callable, x0, depth: int):
     re-evaluated at the jet-valued point of every layer, so it may depend on
     position.  Returns the value in the residual context of ``x0``.
     """
-    if depth > jets.NESTING_CAP:
-        raise DepthCapExceeded(f"nested depth {depth} exceeds cap {jets.NESTING_CAP}")
+    if depth > NESTED_DEPTH_CAP:
+        raise ValueError(f"nested depth {depth} exceeds cap {NESTED_DEPTH_CAP}")
     if depth == 0:
         return scalar_field(x0)
     names = [jets.fresh_name("lie") for _ in range(depth)]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -55,7 +57,38 @@ class TestKinds:
 
     def test_k_cap_validation(self):
         with pytest.raises(ValueError):
-            classify_point(gallery_map("fold_t2").model, [0.0, 0.0], k_cap=9)
+            classify_point(gallery_map("fold_t2").model, [0.0, 0.0], k_cap=0)
+
+
+ROW_NINE_FIXTURES = [  # the gallery points whose listed verdict reads row I_9
+    *[("family_kn", {"k": 8, "n": n}) for n in (0, 10, 11, 12)],
+    ("transverse_k", {"k": 8}),
+    ("l2_truncated", {"N": 8}),
+]
+
+
+class TestRowsPastEight:
+    """Only the map's smoothness bounds the rows and k_cap: a listed verdict
+    at k = 8 reads I_9, and both routes reach it with k_cap = k + 1."""
+
+    @pytest.mark.parametrize("dimz", [0, 1])
+    @pytest.mark.parametrize("name, params", ROW_NINE_FIXTURES)
+    def test_listed_verdict_is_reached(self, name, params, dimz):
+        entry = gallery_map(name, {**params, "dimZ": dimz})
+        for exp in entry.expected:
+            for point in exp.points:
+                c = classify_point(entry.model, point, k_cap=exp.k + 1, route="both")
+                assert (c.kind, c.k) == (exp.kind, exp.k)
+                assert c.evidence.route_agreement is True
+
+    def test_j9_closed_form(self):
+        # head t^10 + sum_{h<=8} x_h t^h: J_9 = d^10 f / dt^10 = 10! on both routes
+        model = gallery_map("family_kn", {"k": 8, "n": 10}).model
+        c = classify_point(model, np.zeros(model.n), k_cap=9, route="both")
+        assert (c.kind, c.k) == (K_SINGULARITY, 9)
+        assert [ev.route for ev in c.evidence.routes] == ["fibering", "ls"]
+        for ev in c.evidence.routes:
+            assert ev.J_values[9] == pytest.approx(math.factorial(10), rel=1e-9)
 
 
 class TestHysteresis:

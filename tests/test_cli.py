@@ -68,6 +68,14 @@ class TestClassifyCommand:
         assert data["result.kind"] == "Indeterminate"
         assert data["result.stage"] == "J_1"
 
+    def test_k_cap_reaches_row_nine(self, tmp_path):
+        out = tmp_path / "r.txt"
+        args = ["classify", "--gallery", "family_kn", "--param", "k=8", "--param", "n=10"]
+        assert run(args + ["--k-cap", "9", "--out", str(out)]) == 0
+        data = parse(out.read_text())
+        assert (data["result.kind"], data["result.k"]) == ("KSingularity", 9)
+        assert run(args + ["--k-cap", "0"]) == 1
+
     def test_error_exit_code(self):
         assert run(["classify", "--gallery", "nonexistent", "--point", "0,0"]) == 1
         assert run(["classify", "--gallery", "fold_t2", "--point", "0,0,0"]) == 1

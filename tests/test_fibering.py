@@ -279,14 +279,6 @@ class TestCrossRouteLie:
 
 
 class TestDepthGuards:
-    def test_functionals_depth_cap(self):
-        from singclass.errors import DepthCapExceeded
-
-        model = gallery_map("fold_t2").model
-        pair = make_fibering_pair(model, [0.0, 0.0])
-        with pytest.raises(DepthCapExceeded):
-            PointFunctionals(model, pair, [0.0, 0.0]).row(9)
-
     def test_row_respects_smoothness(self):
         from singclass.errors import OrderExceedsSmoothness
         from singclass.model import MapModel
@@ -526,7 +518,7 @@ class TestFlowRows:
             model, u = conjugate(model, affine), affine.gamma_shift
         pf = PointFunctionals(model, make_fibering_pair(model, u), u)
         pf.row(3)
-        per_probe, deepest = N, min(jets.NESTING_CAP, model.d - 1)
+        per_probe, deepest = N, min(model.d - 1, N + 1)
         chunk = fibering._ROW_BATCH_BUDGET // (per_probe * 2 * deepest)
         assert len(pf._flow) == -(-N // chunk)
         assert len(sizes) == 3 * len(pf._flow)

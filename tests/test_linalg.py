@@ -104,7 +104,7 @@ class TestKernelCokernel:
 def bordered(A, b, c, rhs, trans=0):
     """``bordered_solve`` against the ``border_factor`` of A's constant term."""
     lu = linalg.border_factor(A.const if isinstance(A, Jet) else A, b, c)
-    return linalg.bordered_solve(A, b, c, rhs, lu, trans=trans)
+    return linalg.bordered_solve(A, rhs, lu, trans=trans)
 
 
 class TestBorderedSolve:
@@ -218,7 +218,7 @@ class TestBorderedSolve:
         co[..., 1:] = rng.standard_normal((3, n, n, 2))
         rhs = (np.zeros(n), 1.0)
         lu = linalg.border_factor(A0, b, c)
-        x, s = linalg.bordered_solve(Jet((name,), (2,), co), b, c, rhs, lu, trans=trans)
+        x, s = linalg.bordered_solve(Jet((name,), (2,), co), rhs, lu, trans=trans)
         assert x.value_shape == (3, n) and s.value_shape == (3,)
         for i in range(3):
             xi, si = bordered(Jet((name,), (2,), co[i]), b, c, rhs, trans=trans)
