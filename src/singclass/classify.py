@@ -1,10 +1,10 @@
 """Decision procedure for the type of a simple singularity.
 
-For k = 1, 2, ... the loop maintains the largest k whose transversality
-evidence holds (J_0 .. J_{k-1} all numerically zero and the rows I_1 .. I_k
-of full rank), then stops at the first decisive event: J_k clearly nonzero
-(ordinary k-singularity), I_{k+1} dependent while J_k vanishes (maximal
-k-transverse), a vanishing first row (not 1-transverse), or the order cap.
+For k = 0, 1, ... the loop keeps the largest k whose transversality
+evidence holds (J_0 .. J_{k-1} numerically zero, rows I_1 .. I_k of full
+rank) and stops at the first decisive event: J_k clearly nonzero (a
+k-singularity; at k = 0, no singular point), I_{k+1} dependent while J_k
+vanishes (maximal k-transverse; at k = 0, not 1-transverse), or the cap.
 
 Every decision reads ``linalg.negligible``: rank decisions against the
 largest singular value at tol_rank, and zero tests (``Tolerances.zero_states``)
@@ -113,35 +113,26 @@ def _run_route(route: str, pair_id: str, functionals, k_cap: int, tol: Tolerance
         ev.stage = stage
         return ev
 
-    ev.J_values.append(functionals.J(0))
-    if tol.zero_states(ev.J_values)[-1] != "zero":
-        return finish(INDETERMINATE, None, 0, "J_0")
-
-    rows = [functionals.row(1)]
-    dec = linalg.rank_decision(np.array(rows), tol.rank)
-    ev.singular_values[1] = list(dec.singular_values)
-    if dec.rank == 0:
-        return finish(NOT_ONE_TRANSVERSE, None, 0)
-
-    k = 1
+    rows, k = [], 0
     while True:
         ev.J_values.append(functionals.J(k))
         state = tol.zero_states(ev.J_values)[-1]
-        if state == "nonzero":
+        if state == "nonzero" and k > 0:
             return finish(K_SINGULARITY, k, k)
-        if state == "band":
+        if state != "zero":  # undecided, or a nonzero J_0: the point is not singular
             return finish(INDETERMINATE, None, k, f"J_{k}")
         if k >= k_cap:
             return finish(TRANSVERSE_UP_TO_CAP, k_cap, k_cap)
         rows.append(functionals.row(k + 1))
         dec = linalg.rank_decision(np.array(rows), tol.rank)
         ev.singular_values[k + 1] = list(dec.singular_values)
+        if dec.rank == k == 0:
+            return finish(NOT_ONE_TRANSVERSE, None, 0)
         if dec.rank == k:
             return finish(MAXIMAL_K_TRANSVERSE, k, k)
-        if dec.rank == k + 1:
-            k += 1
-            continue
-        return finish(INDETERMINATE, None, k, f"rank_I{k + 1}")
+        if dec.rank != k + 1:
+            return finish(INDETERMINATE, None, k, f"rank_I{k + 1}")
+        k += 1
 
 
 def classify_point(

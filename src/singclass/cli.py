@@ -1,12 +1,12 @@
 """Command-line entry point.
 
-Subcommands: classify, gallery, verify, bvp, strata.  Problems come from a
-config document (--config) or from flags; flags override config values.
-``CONFIG_KEYS`` lists every config key with its ``AnalysisConfig``
-attribute, its flag (if any), the converter the file and flag paths share,
-and when reports echo it; a report's ``config.*`` lines, read back as a
-config, reproduce it.  Reports are deterministic for a fixed seed; wall
-time goes to stderr only, so report files are byte-stable.
+Subcommands: classify, gallery, verify, bvp, strata.  The four report
+commands take their problem from a config document (--config) or from flags;
+flags override config values.  Each config key is one ``AnalysisConfig``
+field, whose metadata holds the key, the converter the file and flag paths
+share, when reports echo it and its flag (if any); a report's ``config.*``
+lines, read back as a config, reproduce it.  Reports are deterministic for a
+fixed seed; wall time goes to stderr only, so report files are byte-stable.
 
 Exit codes: 0 decisive result, 1 error, 2 indeterminate.
 """
@@ -17,8 +17,7 @@ import argparse
 import ast
 import sys
 import time
-from dataclasses import dataclass, field, replace
-from operator import attrgetter
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -37,32 +36,6 @@ from .verify import verify_problem
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INDETERMINATE = 2
-
-
-@dataclass
-class AnalysisConfig:
-    problem_kind: str = "gallery"          # gallery | bvp
-    name: str | None = None
-    params: dict = field(default_factory=dict)
-    bvp_n: int = 64
-    bvp_scheme: str = "spectral"
-    bvp_a: tuple = ()
-    bvp_p: tuple = ()
-    bvp_g: str = "quartic"
-    bvp_g_coeffs: tuple = ()
-    bvp_g_beta: float = 1.0
-    conjugate_seed: int | None = None
-    point: list | None = None
-    k_cap: int = 6
-    route: str = "both"
-    tol: Tolerances = field(default_factory=Tolerances)
-    seed: int = 0
-    out: str | None = None
-    machine: bool = False
-    project: bool = False
-    trials: int = 50
-    stratum_h: int = 1
-    samples: int = 20
 
 
 # -- converters: a config-file or flag value -> the attribute value ------------
@@ -108,52 +81,64 @@ _TERMS = _expect(  # trigonometric terms of 1-periodic functions
 
 class ConfigKey(NamedTuple):
     key: str                  # dotted config-file key
-    attr: str                 # AnalysisConfig attribute; "tol.x" is a Tolerances field
+    attr: str                 # the AnalysisConfig field
     convert: Callable         # shared by the file and the flag path
     echo: str                 # always | gallery | bvp (problem kind) | set (not None) | never
-    flag: str | None = None   # argparse dest of the flag that also sets it
+    flag: str | None          # argparse dest of the flag that also sets it
 
 
-CONFIG_KEYS = (
-    ConfigKey("problem.kind", "problem_kind", _STR, "always"),
-    ConfigKey("problem.name", "name", _optional(_STR), "gallery", "gallery"),
-    ConfigKey("problem.params", "params", _PARAMS, "gallery", "param"),
-    ConfigKey("bvp.N", "bvp_n", _INT, "bvp", "bvp_n"),
-    ConfigKey("bvp.scheme", "bvp_scheme", _STR, "bvp", "bvp_scheme"),
-    ConfigKey("bvp.a", "bvp_a", _TERMS, "bvp", "bvp_a"),
-    ConfigKey("bvp.p", "bvp_p", _TERMS, "bvp", "bvp_p"),
-    ConfigKey("bvp.g", "bvp_g", _STR, "bvp"),
-    ConfigKey("bvp.g_coeffs", "bvp_g_coeffs", _REALS, "bvp"),
-    ConfigKey("bvp.g_beta", "bvp_g_beta", _REAL, "bvp"),
-    ConfigKey("problem.conjugate_seed", "conjugate_seed", _optional(_INT), "set"),
-    ConfigKey("point", "point", _optional(_FLOATS), "always", "point"),
-    ConfigKey("k_cap", "k_cap", _INT, "always", "k_cap"),
-    ConfigKey("route", "route", _STR, "always", "route"),
-    ConfigKey("seed", "seed", _INT, "always", "seed"),
-    ConfigKey("tol.rank", "tol.rank", _REAL, "always", "tol_rank"),
-    ConfigKey("tol.zero", "tol.zero", _REAL, "always", "tol_zero"),
-    ConfigKey("tol.nonzero", "tol.nonzero", _REAL, "always", "tol_nonzero"),
-    ConfigKey("out", "out", _optional(_STR), "never", "out"),
-    ConfigKey("trials", "trials", _INT, "never", "trials"),
-)
+def _key(key: str, convert: Callable, echo: str, flag: str | None = None, **default):
+    """An ``AnalysisConfig`` field that is one config key (see ``ConfigKey``);
+    ``default`` is its ``default`` or ``default_factory``."""
+    return field(**default, metadata={"key": key, "convert": convert, "echo": echo, "flag": flag})
+
+
+@dataclass
+class AnalysisConfig:
+    """One analysis, one field per config key, in the order reports echo them;
+    ``tol`` is built, and so checked, from the three tolerances."""
+    problem_kind: str = _key("problem.kind", _STR, "always", default="gallery")
+    name: str | None = _key("problem.name", _optional(_STR), "gallery", "gallery", default=None)
+    params: dict = _key("problem.params", _PARAMS, "gallery", "param", default_factory=dict)
+    bvp_n: int = _key("bvp.N", _INT, "bvp", "bvp_n", default=64)
+    bvp_scheme: str = _key("bvp.scheme", _STR, "bvp", "bvp_scheme", default="spectral")
+    bvp_a: tuple = _key("bvp.a", _TERMS, "bvp", "bvp_a", default=())
+    bvp_p: tuple = _key("bvp.p", _TERMS, "bvp", "bvp_p", default=())
+    bvp_g: str = _key("bvp.g", _STR, "bvp", default="quartic")
+    bvp_g_coeffs: tuple = _key("bvp.g_coeffs", _REALS, "bvp", default=())
+    bvp_g_beta: float = _key("bvp.g_beta", _REAL, "bvp", default=1.0)
+    conjugate_seed: int | None = _key("problem.conjugate_seed", _optional(_INT), "set", default=None)
+    point: list | None = _key("point", _optional(_FLOATS), "always", "point", default=None)
+    k_cap: int = _key("k_cap", _INT, "always", "k_cap", default=6)
+    route: str = _key("route", _STR, "always", "route", default="both")
+    seed: int = _key("seed", _INT, "always", "seed", default=0)
+    tol_rank: float = _key("tol.rank", _REAL, "always", "tol_rank", default=Tolerances.rank)
+    tol_zero: float = _key("tol.zero", _REAL, "always", "tol_zero", default=Tolerances.zero)
+    tol_nonzero: float = _key("tol.nonzero", _REAL, "always", "tol_nonzero",
+                              default=Tolerances.nonzero)
+    out: str | None = _key("out", _optional(_STR), "never", "out", default=None)
+    trials: int = _key("trials", _INT, "never", "trials", default=50)
+    tol: Tolerances = field(init=False)
+
+    def __post_init__(self):
+        self.tol = Tolerances(self.tol_rank, self.tol_zero, self.tol_nonzero)
+
+
+CONFIG_KEYS = tuple(ConfigKey(attr=f.name, **f.metadata)
+                    for f in fields(AnalysisConfig) if f.metadata)
 _BY_KEY = {row.key: row for row in CONFIG_KEYS}
 _KIND_FLAGS = {"gallery": "gallery", "bvp_a": "bvp", "bvp_n": "bvp"}  # flags that pick the kind
-_FLAG_ONLY = ("machine", "project", "stratum_h", "samples")            # settings with no key
 
 
 def _assign(cfg: AnalysisConfig, values: dict[ConfigKey, object]) -> AnalysisConfig:
-    """``cfg`` with the values converted and set, the tol.* ones in one step."""
-    plain, tol = {}, {}
+    """``cfg`` with the values converted and set."""
+    converted = {}
     for row, value in values.items():
         try:
-            value = row.convert(value)
+            converted[row.attr] = row.convert(value)
         except ConfigParseError as exc:
             raise ConfigParseError(f"{row.key}: {exc}") from None
-        if row.attr.startswith("tol."):
-            tol[row.attr[4:]] = value
-        else:
-            plain[row.attr] = value
-    return replace(cfg, **plain, tol=replace(cfg.tol, **tol))
+    return replace(cfg, **converted)
 
 
 def _config_from_file(path: str) -> AnalysisConfig:
@@ -177,13 +162,12 @@ def _apply_flags(cfg: AnalysisConfig, args: argparse.Namespace) -> AnalysisConfi
         values[row] = value
         if row.flag in _KIND_FLAGS:
             values[_BY_KEY["problem.kind"]] = _KIND_FLAGS[row.flag]
-    flag_only = {a: getattr(args, a) for a in _FLAG_ONLY if getattr(args, a, None) is not None}
-    return replace(_assign(cfg, values), **flag_only)
+    return _assign(cfg, values)
 
 
 def _echo(cfg: AnalysisConfig) -> list[tuple[str, object]]:
     """The ``config.*`` lines of a report (the problem kind is gallery or bvp)."""
-    values = [(row, attrgetter(row.attr)(cfg)) for row in CONFIG_KEYS]
+    values = [(row, getattr(cfg, row.attr)) for row in CONFIG_KEYS]
     return [(f"config.{row.key}", value) for row, value in values
             if row.echo in ("always", cfg.problem_kind) or (row.echo == "set" and value is not None)]
 
@@ -267,24 +251,24 @@ def _classification_entries(c: Classification, projected: bool) -> list[tuple[st
     return e
 
 
-def cmd_classify(cfg: AnalysisConfig) -> int:
+def cmd_classify(cfg: AnalysisConfig, project: bool) -> int:
     model, point = build_problem(cfg)
-    if cfg.project:
+    if project:
         pair = bordered_pair(model, point, cfg.tol.rank)
         point = stratamod.project_to_singular(model, point, pair, tol=cfg.tol)
     c = classify_point(model, point, k_cap=cfg.k_cap, tol=cfg.tol, route=cfg.route)
     _emit(cfg, "classify", model,
-          [("point", [float(x) for x in point])] + _classification_entries(c, cfg.project))
+          [("point", [float(x) for x in point])] + _classification_entries(c, project))
     return EXIT_INDETERMINATE if c.kind == INDETERMINATE else EXIT_OK
 
 
-def cmd_gallery(cfg: AnalysisConfig, kind_filter: str | None) -> int:
+def cmd_gallery(kind_filter: str | None, machine: bool) -> int:
     for e in list_gallery(kind_filter):
         params = ",".join(f"{k}={v}" for k, v in sorted(e.params.items()))
-        if not cfg.machine:
+        if not machine:
             sys.stdout.write(f"{e.name}  params={e.params}\n")
         for exp in e.expected:
-            if cfg.machine:
+            if machine:
                 sys.stdout.write(
                     f"name={e.name} params={params or '-'} expected={exp.kind}"
                     f"{'' if exp.k is None else '(%d)' % exp.k} points={len(exp.points)}\n"
@@ -341,16 +325,16 @@ def cmd_bvp(cfg: AnalysisConfig) -> int:
     return EXIT_INDETERMINATE if c.kind == INDETERMINATE else EXIT_OK
 
 
-def cmd_strata(cfg: AnalysisConfig) -> int:
+def cmd_strata(cfg: AnalysisConfig, h: int, samples: int) -> int:
     model, point = build_problem(cfg)
     pair = bordered_pair(model, point, cfg.tol.rank)
     projected = stratamod.project_to_singular(model, point, pair, tol=cfg.tol)
-    member, vals = stratamod.stratum_membership(model, projected, cfg.stratum_h, pair, cfg.tol)
-    sample = stratamod.sample_stratum(model, projected, pair, count=cfg.samples,
+    member, vals = stratamod.stratum_membership(model, projected, h, pair, cfg.tol)
+    sample = stratamod.sample_stratum(model, projected, pair, count=samples,
                                       seed=cfg.seed, tol=cfg.tol)
     _emit(cfg, "strata", model, [
         ("projected.point", [float(x) for x in projected]),
-        ("membership.h", cfg.stratum_h),
+        ("membership.h", h),
         ("membership.member", member),
         ("membership.J", [float(v) for v in vals]),
         ("sample.count", len(sample.points)),
@@ -362,7 +346,7 @@ def cmd_strata(cfg: AnalysisConfig) -> int:
     return EXIT_INDETERMINATE if member is None else EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_report_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="analysis config document")
     p.add_argument("--gallery", help="gallery map name")
     p.add_argument("--param", action="append", type=_param, help="gallery parameter key=value")
@@ -378,7 +362,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--route", choices=["fibering", "ls", "both"])
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="report output path (default: stdout)")
-    p.add_argument("--machine", action="store_true", help="machine-oriented listing")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -389,25 +372,25 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify one point")
-    _add_common(p)
+    _add_report_flags(p)
     p.add_argument("--project", action="store_true",
                    help="Newton-project the point onto the singular set first")
 
     p = sub.add_parser("gallery", help="list built-in fixtures")
-    _add_common(p)
     p.add_argument("--kind", help="filter by expected classification kind")
+    p.add_argument("--machine", action="store_true", help="machine-oriented listing")
 
     p = sub.add_parser("verify", help="run the invariance suite for one problem")
-    _add_common(p)
+    _add_report_flags(p)
     p.add_argument("--trials", type=int, help="random trials per property (default 50)")
 
     p = sub.add_parser("bvp", help="periodic-problem analysis with oracle cross-check")
-    _add_common(p)
+    _add_report_flags(p)
 
     p = sub.add_parser("strata", help="singular-set projection and stratum diagnostics")
-    _add_common(p)
-    p.add_argument("--stratum-h", dest="stratum_h", type=int, help="stratum order to test")
-    p.add_argument("--samples", type=int, help="number of sampled singular points")
+    _add_report_flags(p)
+    p.add_argument("--stratum-h", type=int, default=1, help="stratum order to test (default 1)")
+    p.add_argument("--samples", type=int, default=20, help="sampled singular points (default 20)")
     return parser
 
 
@@ -429,12 +412,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; 2 means indeterminate here
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
-    commands = {"classify": cmd_classify, "gallery": lambda cfg: cmd_gallery(cfg, args.kind),
-                "verify": cmd_verify, "bvp": cmd_bvp, "strata": cmd_strata}
+    commands = {"classify": lambda cfg: cmd_classify(cfg, args.project), "verify": cmd_verify,
+                "bvp": cmd_bvp, "strata": lambda cfg: cmd_strata(cfg, args.stratum_h, args.samples)}
     started = time.perf_counter()
     try:
-        cfg = _config_from_file(args.config) if args.config else AnalysisConfig()
-        code = commands[args.command](_apply_flags(cfg, args))
+        if args.command == "gallery":
+            code = cmd_gallery(args.kind, args.machine)
+        else:
+            cfg = _config_from_file(args.config) if args.config else AnalysisConfig()
+            code = commands[args.command](_apply_flags(cfg, args))
     except (SingclassError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

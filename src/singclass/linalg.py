@@ -1,7 +1,7 @@
 """Dense small-matrix numerics: the one decision rule ``negligible``, ranks,
-the linearization of a map at a point (kernel, cokernel and range from one
-SVD), and bordered solves against one factored constant-term bordered matrix
-(jet solutions apply only the nilpotent part of the jet matrix on top of it)."""
+the linearization of a map at a point (rank, range and the last singular
+pair from one SVD), and bordered solves against one factored constant-term
+bordered matrix (a jet matrix adds only its nilpotent part on top)."""
 
 from __future__ import annotations
 
@@ -52,8 +52,8 @@ def rank_decision(rows: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> RankDecisi
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive.
 
-    SVD leaves the sign of each singular vector free; fixing it makes kernel
-    bases (and everything derived from them) reproducible across runs.
+    SVD leaves the sign of each singular vector free; fixing it makes the
+    kernel and cokernel vectors reproducible across runs.
     """
     lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
     return vecs * np.where(lead < 0, -1.0, 1.0)
@@ -62,16 +62,14 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Linearization:
     """F'(u) at one point and what both routes read off it, all from one SVD
-    ``A = U diag(sigma) V^T``: the rank, the sign-fixed kernel basis (columns
-    of V) and cokernel basis (columns of U) past the rank, the range basis
-    ``U[:, :rank]``, and the sign-fixed last columns of U and V."""
+    ``A = U diag(sigma) V^T``: the rank, the range basis ``U[:, :rank]``, and
+    the sign-fixed last columns of U and V, which at kdim = 1 are the
+    cokernel and kernel vectors."""
 
     u: np.ndarray | None
     A: np.ndarray
     singular_values: np.ndarray
     rank: int
-    kernel: np.ndarray        # n x kdim
-    cokernel: np.ndarray      # n x kdim, left null vectors
     range_basis: np.ndarray   # n x rank
     last_pair: tuple          # (last column of U, last column of V)
 
@@ -87,7 +85,7 @@ class Linearization:
             raise ValueError("a linearization needs a square matrix")
         U, sv, Vt = np.linalg.svd(_finite(A, "F'(u)"))
         rank = _numerical_rank(sv, tol)
-        return cls(u, A, sv, rank, _fix_signs(Vt[rank:].T), _fix_signs(U[:, rank:]), U[:, :rank],
+        return cls(u, A, sv, rank, U[:, :rank],
                    (_fix_signs(U[:, -1:])[:, 0], _fix_signs(Vt[-1:].T)[:, 0]))
 
 

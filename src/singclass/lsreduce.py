@@ -136,7 +136,7 @@ def local_representation(model: MapModel, u0, tol: float = linalg.DEFAULT_RANK_T
     lin = linalg.linearize(model, u0, tol)
     if lin.kdim != 1:
         raise NotSimple(f"kernel dimension is {lin.kdim}, expected 1")
-    c = lin.kernel[:, 0]
+    w, c = lin.last_pair
     Q = lin.range_basis
     kept = lin.singular_values[: lin.rank]
     cond = float(np.max(kept, initial=1.0) / np.min(kept, initial=1.0))
@@ -146,7 +146,7 @@ def local_representation(model: MapModel, u0, tol: float = linalg.DEFAULT_RANK_T
         u0=lin.u,
         F_u0=np.asarray(model(lin.u), dtype=float),
         kernel_vec=c,
-        left_null_vec=lin.cokernel[:, 0],
+        left_null_vec=w,
         z_rows=np.vstack([np.zeros(lin.u.shape[0]), Q.T]),
         alpha_lu=lu_factor(np.vstack([c[None, :], Q.T @ lin.A])),
         cond_alpha=cond,

@@ -1,3 +1,5 @@
+import argparse
+import math
 import os
 import subprocess
 import sys
@@ -6,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from singclass import jets
-from singclass.cli import CONFIG_KEYS, main
+from singclass.cli import CONFIG_KEYS, main, make_parser
 from singclass.gallery import gallery_map
 from singclass.report import SCHEMA_VERSION, parse, render
 from singclass.errors import ConfigParseError
@@ -75,6 +77,10 @@ class TestClassifyCommand:
         data = parse(out.read_text())
         assert (data["result.kind"], data["result.k"]) == ("KSingularity", 9)
         assert run(args + ["--k-cap", "0"]) == 1
+
+    def test_machine_flag_exits_one(self):
+        # --machine is a gallery listing flag; classify does not read it
+        assert run(["classify", "--gallery", "fold_t2", "--machine"]) == 1
 
     def test_error_exit_code(self):
         assert run(["classify", "--gallery", "nonexistent", "--point", "0,0"]) == 1
@@ -159,6 +165,16 @@ class TestGalleryCommand:
         assert run(["gallery"]) == 0
         out = capsys.readouterr().out
         assert "note:" in out
+
+    def test_out_flag_exits_one(self, tmp_path, capsys):
+        # the listing goes to stdout only; a report path would be dropped
+        out = tmp_path / "listing.txt"
+        assert run(["gallery", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
+    def test_point_flag_exits_one(self):
+        assert run(["gallery", "--point", "-0.5,2"]) == 1
 
 
 class TestVerifyCommand:
@@ -268,12 +284,49 @@ class TestConfigKeys:
         ["bvp", "--bvp-n", "32", "--bvp-a", "[(1, 0.0, 1.0)]", "--bvp-p", "[(0, 1.0, 0.0)]"],
     ])
     def test_echoed_config_reproduces_report(self, tmp_path, args):
-        first, second, cfg = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "cfg.txt"
+        first = tmp_path / "a.txt"
         assert run(args + ["--out", str(first)]) == 0
+        assert self.rerun_from_echo(tmp_path, args[0], first) == first.read_bytes()
+
+    @staticmethod
+    def rerun_from_echo(tmp_path, command: str, first: Path) -> bytes:
+        """The report of ``command`` run on the config that ``first``'s
+        ``config.*`` lines form with the prefix removed."""
+        second, cfg = tmp_path / "b.txt", tmp_path / "cfg.txt"
         lines = [line for line in first.read_text().splitlines() if line.startswith("config.")]
         cfg.write_text("".join(line[len("config."):] + "\n" for line in lines))
-        assert run([args[0], "--config", str(cfg), "--out", str(second)]) == 0
-        assert second.read_bytes() == first.read_bytes()
+        assert run([command, "--config", str(cfg), "--out", str(second)]) == 0
+        return second.read_bytes()
+
+    RICCATI = ("problem.kind = 'bvp'\nbvp.N = 32\nbvp.a = [(0, 0.4, 0.0), (1, 0.0, 1.0)]\n"
+               "bvp.g = 'poly'\nbvp.g_coeffs = [0.0, 0.0, 1.0]\n")
+
+    @pytest.mark.parametrize("command, document, label, verdict", [
+        ("classify", "problem.kind = 'gallery'\nproblem.name = 'whitney'\n"
+         "problem.params = {'k': 2}\npoint = [0.0, 0.0]\nproblem.conjugate_seed = 3\n",
+         "whitney(k=2,dimZ=0)~affine", ("KSingularity", 2)),
+        ("bvp", "problem.kind = 'bvp'\nbvp.N = 32\nbvp.a = [(1, 0.0, 1.0)]\n"
+         "bvp.g = 'exp'\nbvp.g_beta = 0.5\n", "bvp(exp,N=32,spectral)", ("MaximalKTransverse", 1)),
+        ("bvp", RICCATI + "bvp.scheme = 'spectral'\n", "bvp(poly,N=32,spectral)",
+         ("KSingularity", 1)),
+        ("bvp", RICCATI + "bvp.scheme = 'periodic_finite_difference'\n",
+         "bvp(poly,N=32,periodic_finite_difference)", ("KSingularity", 1)),
+    ])
+    def test_config_document_reproduces_report(self, tmp_path, command, document, label, verdict):
+        """Keys that only a config document sets reach the problem, and the
+        report's echo of them reproduces it."""
+        doc, first = tmp_path / "doc.txt", tmp_path / "a.txt"
+        doc.write_text(document)
+        assert run([command, "--config", str(doc), "--out", str(first)]) == 0
+        data = parse(first.read_text())
+        assert data["problem.label"] == label
+        assert (data["result.kind"], data["result.k"]) == verdict
+        if label.startswith("bvp(poly"):
+            # u' + a u^2 at u = 0: the fold value is int 2a = 0.8, and the
+            # unit-norm pair's constant vectors 1/sqrt(N) give J_1 = 0.8/sqrt(N)
+            for route in ("fibering", "ls"):
+                assert abs(data[f"route.{route}.J"][1]) * math.sqrt(32) == pytest.approx(0.8, rel=1e-12)
+        assert self.rerun_from_echo(tmp_path, command, first) == first.read_bytes()
 
     @pytest.mark.parametrize("command, line", [
         ("classify", "k_cap = 'x'"),
@@ -331,9 +384,9 @@ class TestPointFlag:
         assert data["point"] == [-1.1, 0.0]
         assert data["result.kind"] == "MaximalKTransverse"
 
-    @pytest.mark.parametrize("command", ["verify", "strata", "bvp", "gallery"])
+    @pytest.mark.parametrize("command", ["verify", "strata", "bvp"])
     def test_negative_point_reaches_every_subcommand(self, command):
-        from singclass.cli import _join_point, make_parser
+        from singclass.cli import _join_point
 
         args = make_parser().parse_args(_join_point([command, "--point", "-0.5,2"]))
         assert args.point == [-0.5, 2.0]
@@ -399,6 +452,19 @@ class TestUsageErrors:
 
     def test_unknown_command_exits_one(self):
         assert run(["frobnicate"]) == 1
+
+    def test_each_subcommand_parses_the_flags_it_reads(self):
+        """Each subcommand's flag set, read off the parser: a new flag is
+        added on purpose, where a command reads it."""
+        report = {"config", "gallery", "param", "bvp_n", "bvp_a", "bvp_p", "bvp_scheme", "point",
+                  "k_cap", "tol_rank", "tol_zero", "tol_nonzero", "route", "seed", "out"}
+        expected = {"classify": report | {"project"}, "gallery": {"kind", "machine"},
+                    "verify": report | {"trials"}, "bvp": report,
+                    "strata": report | {"stratum_h", "samples"}}
+        sub, = [a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {name: {a.dest for a in p._actions if a.dest != "help"}
+                 for name, p in sub.choices.items()}
+        assert flags == expected
 
 
 class TestOutOfRangeSettings:

@@ -55,8 +55,9 @@ class TestKernelCokernel:
     def test_diag_with_one_zero(self):
         lin = linalg.Linearization.of_matrix(np.diag([0.0, 1.0]), 1e-9)
         assert lin.kdim == 1
-        np.testing.assert_allclose(np.abs(lin.kernel[:, 0]), [1.0, 0.0], atol=1e-14)
-        np.testing.assert_allclose(np.abs(lin.cokernel[:, 0]), [1.0, 0.0], atol=1e-14)
+        w, c = lin.last_pair
+        np.testing.assert_allclose(np.abs(c), [1.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(np.abs(w), [1.0, 0.0], atol=1e-14)
 
     def test_cubic_head_jacobian_at_origin(self):
         from singclass.gallery import gallery_map
@@ -68,7 +69,7 @@ class TestKernelCokernel:
         rng = np.random.default_rng(5)
         A = rng.standard_normal((4, 4)) + 4 * np.eye(4)
         lin = linalg.Linearization.of_matrix(A)
-        assert lin.kdim == 0 and lin.kernel.shape == lin.cokernel.shape == (4, 0)
+        assert lin.kdim == 0 and lin.range_basis.shape == (4, 4)
 
     def test_residual_bounds(self):
         rng = np.random.default_rng(7)
@@ -77,12 +78,11 @@ class TestKernelCokernel:
         lin = linalg.Linearization.of_matrix(A, 1e-9)
         assert lin.kdim == 2
         norm = np.linalg.norm(A, 2)
-        for v in lin.kernel.T:
-            assert np.linalg.norm(A @ v) <= 10 * 1e-9 * norm
-        for w in lin.cokernel.T:
-            assert np.linalg.norm(w @ A) <= 10 * 1e-9 * norm
+        w, c = lin.last_pair
+        assert np.linalg.norm(A @ c) <= 10 * 1e-9 * norm
+        assert np.linalg.norm(w @ A) <= 10 * 1e-9 * norm
         # the range basis spans the complement of the cokernel
-        np.testing.assert_allclose(lin.range_basis.T @ lin.cokernel, 0.0, atol=1e-12)
+        np.testing.assert_allclose(lin.range_basis.T @ w, 0.0, atol=1e-12)
         assert np.linalg.matrix_rank(np.hstack([lin.range_basis, A])) == 3
 
     @given(seed=st.integers(0, 10_000))
@@ -93,12 +93,14 @@ class TestKernelCokernel:
         r = int(rng.integers(0, n + 1))
         A = rng.standard_normal((n, r)) @ rng.standard_normal((r, n))
         lin = linalg.Linearization.of_matrix(A)
-        assert lin.kernel.shape[1] == lin.cokernel.shape[1] == lin.kdim
+        assert lin.kdim == n - r
+        assert [v.shape for v in lin.last_pair] == [(n,), (n,)]
         assert lin.range_basis.shape == (n, lin.rank)
 
     def test_sign_convention_deterministic(self):
         lin = linalg.Linearization.of_matrix(np.diag([0.0, 1.0, 2.0]))
-        assert lin.kernel[0, 0] > 0 and lin.cokernel[0, 0] > 0
+        w, c = lin.last_pair
+        assert c[0] > 0 and w[0] > 0
 
 
 def bordered(A, b, c, rhs, trans=0):
