@@ -146,6 +146,12 @@ def make_periodic_bvp(problem: PeriodicProblem) -> MapModel:
     return MapModel(N, SMOOTH, ev, label, jac=jac)
 
 
+def oracle_applies(a_terms, g_kind: str = "quartic", u=0.0) -> bool:
+    """Whether the closed forms of ``quartic_analytic_oracle`` hold: g quartic,
+    at u = 0, and a(t) of zero mean (a mean-carrying a makes u = 0 a fold)."""
+    return g_kind == "quartic" and not np.any(u) and abs(trig_mean(a_terms)) <= 1e-12
+
+
 @dataclass(frozen=True)
 class QuarticOracle:
     I1_row: np.ndarray
@@ -161,7 +167,7 @@ def quartic_analytic_oracle(a_terms, p_terms, quadN: int = 256) -> QuarticOracle
     whenever the coefficient frequencies are below the bandlimit quadN / 2."""
     if quadN < 16:
         raise ParamOutOfRange("quadrature grid must have at least 16 points")
-    if abs(trig_mean(a_terms)) > 1e-12:
+    if not oracle_applies(a_terms):
         raise ParamOutOfRange("a(t) must have zero mean")
     t = np.arange(quadN) / quadN
     a = trig_samples(a_terms, t)

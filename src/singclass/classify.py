@@ -90,11 +90,9 @@ class Classification:
     evidence: ClassificationReport
 
     def describe(self) -> str:
-        if self.kind in (K_SINGULARITY, MAXIMAL_K_TRANSVERSE, TRANSVERSE_UP_TO_CAP):
+        if self.k is not None:
             return f"{self.kind}({self.k})"
-        if self.kind == NON_SIMPLE:
-            return f"{self.kind}({self.kdim})"
-        if self.kind == INDETERMINATE and self.stage:
+        if self.stage:
             return f"{self.kind}[{self.stage}]"
         return self.kind
 
@@ -106,11 +104,9 @@ def _run_route(route: str, pair_id: str, functionals, k_cap: int, tol: Tolerance
     """The decision loop over one route's ``J(k)`` / ``row(k)`` functionals."""
     ev = RouteEvidence(route=route, pair_id=pair_id)
 
-    def finish(kind, k, t_order, stage=None):
-        ev.kind = kind
-        ev.k = k
-        ev.transversality_order = t_order
-        ev.stage = stage
+    def finish(kind, stage=None):  # the order reached is the loop's k
+        ev.kind, ev.transversality_order, ev.stage = kind, k, stage
+        ev.k = None if kind in (NOT_ONE_TRANSVERSE, INDETERMINATE) else k
         return ev
 
     rows, k = [], 0
@@ -118,20 +114,18 @@ def _run_route(route: str, pair_id: str, functionals, k_cap: int, tol: Tolerance
         ev.J_values.append(functionals.J(k))
         state = tol.zero_states(ev.J_values)[-1]
         if state == "nonzero" and k > 0:
-            return finish(K_SINGULARITY, k, k)
+            return finish(K_SINGULARITY)
         if state != "zero":  # undecided, or a nonzero J_0: the point is not singular
-            return finish(INDETERMINATE, None, k, f"J_{k}")
+            return finish(INDETERMINATE, f"J_{k}")
         if k >= k_cap:
-            return finish(TRANSVERSE_UP_TO_CAP, k_cap, k_cap)
+            return finish(TRANSVERSE_UP_TO_CAP)
         rows.append(functionals.row(k + 1))
         dec = linalg.rank_decision(np.array(rows), tol.rank)
         ev.singular_values[k + 1] = list(dec.singular_values)
-        if dec.rank == k == 0:
-            return finish(NOT_ONE_TRANSVERSE, None, 0)
-        if dec.rank == k:
-            return finish(MAXIMAL_K_TRANSVERSE, k, k)
+        if dec.rank == k:  # I_{k+1} depends on the rows before it
+            return finish(MAXIMAL_K_TRANSVERSE if k else NOT_ONE_TRANSVERSE)
         if dec.rank != k + 1:
-            return finish(INDETERMINATE, None, k, f"rank_I{k + 1}")
+            return finish(INDETERMINATE, f"rank_I{k + 1}")
         k += 1
 
 

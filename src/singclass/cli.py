@@ -315,7 +315,7 @@ def cmd_bvp(cfg: AnalysisConfig) -> int:
     model, point = build_problem(cfg)
     c = classify_point(model, point, k_cap=cfg.k_cap, tol=cfg.tol, route=cfg.route)
     entries = _classification_entries(c, False)
-    if cfg.bvp_g == "quartic" and not np.any(point):
+    if bvpmod.oracle_applies(cfg.bvp_a, cfg.bvp_g, point):
         check = bvpmod.quartic_cross_check(cfg.bvp_a, cfg.bvp_p, N=cfg.bvp_n,
                                            scheme=cfg.bvp_scheme, tol=cfg.tol.rank)
         entries += [(f"oracle.{key}", check[key]) for key in (

@@ -36,7 +36,6 @@ import numpy as np
 
 from . import jets, linalg
 from .errors import NotSimple, OrderExceedsSmoothness, VanishingScale
-from .jets import Jet
 from .model import MapModel
 
 # floats of one probe chunk's F'(x) jet (its d if jac is set) at row min(d - 1, n + 1)
@@ -76,16 +75,12 @@ class FiberingPair(PairBase):
     def at(self, u, Fp0, tol: float) -> "FiberingPair":
         return replace(self, border_lu=linalg.border_factor(Fp0, self.border_b, self.border_c, tol))
 
-    def _solve(self, Fp, trans: int):
-        rhs = (np.zeros(self.border_b.shape[0]), 1.0)
-        return linalg.bordered_solve(Fp, rhs, self.border_lu, trans=trans)
-
     def psi(self, x, Fp):
-        return self._solve(Fp, 1)[0]
+        return linalg.bordered_solve(Fp, self.border_lu, trans=1)[0]
 
     def phi_j0(self, x, Fp):
         """phi and -s from one solve (J0 is 0.0, not -0.0, when s is zero)."""
-        phi, s = self._solve(Fp, 0)
+        phi, s = linalg.bordered_solve(Fp, self.border_lu)
         return phi, 0.0 - s
 
 
@@ -103,9 +98,7 @@ class ScaleSpec:
         if self.quad is None:
             return float(self.value)
         dx = x - self.center
-        qd = jets.matvec(self.quad, dx)
-        s = (dx * qd).vsum() if isinstance(dx, Jet) else float(np.dot(np.asarray(dx), qd))
-        return (s + 1.0) * self.value
+        return (jets.dot(dx, jets.matvec(self.quad, dx)) + 1.0) * self.value
 
     def __post_init__(self):
         quad = np.zeros((0, 0)) if self.quad is None else np.asarray(self.quad, dtype=float)
@@ -164,8 +157,7 @@ class ExplicitPair(PairBase):
     def phi_j0(self, x, Fp):
         """phi and the contraction psi F' phi."""
         phi = self.phi_fn(x)
-        y = self.psi_fn(x) * jets.matvec(Fp, phi)
-        return phi, y.vsum() if isinstance(y, Jet) else float(np.sum(y))
+        return phi, jets.dot(self.psi_fn(x), jets.matvec(Fp, phi))
 
     def psi(self, x, Fp):
         return self.psi_fn(x)
@@ -234,7 +226,7 @@ class PointFunctionals:
         for rec in self._flow:
             x, phi = rec
             if phi is not None:
-                x = x.extend((self._eps, self._s), (1, k - 1)) + jets.integrate(phi, self._s, k - 1)
+                x = jets.constant(x, (self._s,), (k - 1,)) + jets.integrate(phi, self._s, k - 1)
             rec[1], j0 = self.pair.phi_j0(x, jets.jacobian(self.model, x))
             grads.append(j0.extract({self._eps: 1, self._s: k - 1}) * math.factorial(k - 1))
         self._rows[k] = np.concatenate(grads)

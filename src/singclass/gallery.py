@@ -181,9 +181,10 @@ def _family_expected(k: int, n_exp: int, n: int) -> ExpectedPoints:
     return ExpectedPoints("origin", ((0.0,) * n,), *verdict)
 
 
-def default_entries() -> list[GalleryEntry]:
-    """Representative fixture set used by the CLI listing."""
-    out = [
+def list_gallery(kind_filter: str | None = None) -> list[GalleryEntry]:
+    """The representative fixture set of the CLI listing, sorted by name and
+    parameters; ``kind_filter`` keeps the entries expecting that kind."""
+    entries = [
         gallery_map("fold_t2"),
         gallery_map("cusp_source_t3"),
         gallery_map("transverse_k", {"k": 3, "dimZ": 0}),
@@ -196,13 +197,8 @@ def default_entries() -> list[GalleryEntry]:
         gallery_map("eps_perturbed", {"eps": 0.0}),
         gallery_map("eps_perturbed", {"eps": 0.1}),
     ]
-    return sorted(out, key=lambda e: (e.name, sorted(e.params.items())))
-
-
-def list_gallery(kind_filter: str | None = None) -> list[GalleryEntry]:
-    entries = default_entries()
     if kind_filter:
         entries = [
             e for e in entries if any(x.kind == kind_filter for x in e.expected)
         ]
-    return entries
+    return sorted(entries, key=lambda e: (e.name, sorted(e.params.items())))

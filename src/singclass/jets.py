@@ -218,16 +218,6 @@ class Jet:
             return arr if arr.shape else float(arr)
         return Jet(keep_vars, keep_orders, arr)
 
-    def extend(self, variables: Sequence[str], orders: Sequence[int]) -> "Jet":
-        """Append variables to the context; the old coefficients sit at
-        degree zero in the new ones."""
-        variables = tuple(variables)
-        orders = tuple(int(o) for o in orders)
-        k = self.njet
-        if variables[:k] != self.vars or orders[:k] != self.orders:
-            raise ValueError("target context must start with the current one")
-        return constant(self, variables[k:], orders[k:])
-
 
 def _like(jet: Jet, coeffs: np.ndarray) -> Jet:
     """A jet in the context of ``jet`` with the float array ``coeffs``, built
@@ -296,7 +286,7 @@ def integrate(x: Jet, name: str, order: int) -> Jet:
     at ``order`` in it: c_j name^j becomes c_j name^(j+1) / (j+1).  A variable
     outside the context is appended (``x`` is constant in it)."""
     if name not in x.vars:
-        x = x.extend(x.vars + (name,), x.orders + (0,))
+        x = constant(x, (name,), (0,))
     i = x.vars.index(name)
     coeffs = np.moveaxis(x.coeffs, x.value_ndim + i, -1)
     m = min(order, x.orders[i] + 1)  # coefficients that stay inside the truncation
@@ -406,11 +396,15 @@ def matvec(A, x):
     return _like(x, out.reshape(out.shape[:-1] + x.jet_shape))
 
 
-def dot(v: np.ndarray, x):
-    """Plain covector applied to a (jet) vector."""
-    if not isinstance(x, Jet):
-        return np.einsum("j,...j->...", np.asarray(v, dtype=float), np.asarray(x, dtype=float))
-    return (x * np.asarray(v, dtype=float)).vsum()
+def dot(v, x):
+    """Contraction along the component axis of two (jet) vectors; a plain v
+    has no batch axes when x is plain too.  A jet operand leads the product:
+    ``ndarray * Jet`` would build an object array."""
+    if isinstance(v, Jet):
+        return (v * x).vsum()
+    if isinstance(x, Jet):
+        return (x * np.asarray(v, dtype=float)).vsum()
+    return np.dot(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
 
 
 def transpose_mat(M: "Jet | MatrixPlusDiag | np.ndarray"):

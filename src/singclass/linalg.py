@@ -1,7 +1,7 @@
-"""Dense small-matrix numerics: the one decision rule ``negligible``, ranks,
-the linearization of a map at a point (rank, range and the last singular
-pair from one SVD), and bordered solves against one factored constant-term
-bordered matrix (a jet matrix adds only its nilpotent part on top)."""
+"""Dense small-matrix numerics, and every SVD the package takes: the one
+decision rule ``negligible``, ranks, null spaces, a map's linearization at a
+point (rank, range and last singular pair from one SVD), and bordered solves
+against one factored constant-term matrix (a jet matrix adds its nilpotent part)."""
 
 from __future__ import annotations
 
@@ -47,6 +47,14 @@ def rank_decision(rows: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> RankDecisi
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     sv = np.linalg.svd(_finite(rows, "the row stack"), compute_uv=False)
     return RankDecision(_numerical_rank(sv, tol), tuple(float(s) for s in sv))
+
+
+def null_space(rows: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> tuple[int, np.ndarray]:
+    """Numerical rank of a stack of rows and a sign-fixed orthonormal basis
+    (columns) of its numerical null space, both from one SVD."""
+    _, sv, Vt = np.linalg.svd(_finite(rows, "the row stack"))
+    rank = _numerical_rank(sv, tol)
+    return rank, _fix_signs(Vt[rank:].T)
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
@@ -131,18 +139,17 @@ def solve_passes(lu_piv, R: Jet, nil_apply, trans: int = 0) -> Jet:
     return X
 
 
-def bordered_solve(A, rhs, lu_piv, trans: int = 0):
-    """Solution (x, s) of [[A, b], [c^T, 0]] (x, s) = rhs, or with ``trans=1``
-    of the transposed system [[A^T, c], [b^T, 0]] (x, s) = rhs, against
-    ``lu_piv``, the ``border_factor`` of A's constant term and the border b, c.
+def bordered_solve(A, lu_piv, trans: int = 0):
+    """Solution (x, s) of [[A, b], [c^T, 0]] (x, s) = (0, .., 0, 1), or with
+    ``trans=1`` of the transposed system [[A^T, c], [b^T, 0]] (x, s) = (0, .., 0, 1),
+    against ``lu_piv``, the ``border_factor`` of A's constant term and the border b, c.
 
-    ``rhs`` is plain.  A jet or ``jets.MatrixPlusDiag`` A (batch axes allowed)
-    gives jet solutions by ``solve_passes``: only A carries jet terms, so the
-    nilpotent part acts as (N x, 0) on top of the constant-term bordered matrix.
+    A jet or ``jets.MatrixPlusDiag`` A (batch axes allowed) gives jet
+    solutions by ``solve_passes``: only A carries jet terms, so the nilpotent
+    part acts as (N x, 0) on top of the constant-term bordered matrix.
     """
-    r1, r2 = rhs
-    n = len(r1)
-    R = np.append(np.asarray(r1, dtype=float), r2)
+    n = len(lu_piv[0]) - 1
+    R = np.eye(1, n + 1, n)[0]  # (0, .., 0, 1)
     if isinstance(A, np.ndarray):
         sol = lu_solve(lu_piv, R, trans=trans)
         return sol[:n], float(sol[n])

@@ -45,8 +45,7 @@ class AffinePair:
 
     def __post_init__(self):
         for name, M in (("gamma", self.gamma_mat), ("delta", self.delta_mat)):
-            sv = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
-            if linalg.negligible(sv[-1], sv[0], 1e-10):
+            if linalg.rank_decision(M, 1e-10).rank < len(M):
                 raise SingularAffine(f"{name} matrix is singular at tolerance 1e-10")
 
     def apply_gamma(self, u):

@@ -45,7 +45,7 @@ def project_to_singular(model: MapModel, u_guess, pair: PairBase,
         i1_norm = float(np.linalg.norm(i1))
         if linalg.negligible(i1_norm, i1_norm, tol.rank):
             if step == 0:
-                sv = np.linalg.svd(pf.Fp0, compute_uv=False)
+                sv = linalg.rank_decision(pf.Fp0).singular_values
                 raise DegenerateGradient(
                     f"I1 vanishes at the start point, where sigma_min/sigma_max of F' is "
                     f"{sv[-1] / sv[0]:.3g}; start where F' has one small singular value")
@@ -82,17 +82,14 @@ def tangent_space(model: MapModel, u, h: int, pair: PairBase,
     """Orthonormal basis of the intersection of the null spaces of I_1 .. I_h."""
     if h < 0:
         raise ValueError(f"stratum order h must be at least 0, got {h}")
-    n = model.n
     if h == 0:
-        return [np.eye(n)[:, j] for j in range(n)]
+        return list(np.eye(model.n))
     pf = PointFunctionals(model, pair, u, tol.rank)
     rows = np.array([pf.row(j) for j in range(1, h + 1)])
-    _, sv, Vt = np.linalg.svd(rows)
-    rank = linalg._numerical_rank(sv, tol.rank)
+    rank, basis = linalg.null_space(rows, tol.rank)
     if rank != h:
         raise NotIndependent(f"rows I_1..I_{h} have rank {rank} < {h}")
-    basis = linalg._fix_signs(Vt[h:].T)
-    return [basis[:, j] for j in range(n - h)]
+    return list(basis.T)
 
 
 @dataclass

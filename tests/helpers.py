@@ -133,14 +133,8 @@ def lie_value(scalar_field: Callable, vector_field: Callable, x0, depth: int):
     if depth == 0:
         return scalar_field(x0)
     names = [jets.fresh_name("lie") for _ in range(depth)]
-    if isinstance(x0, Jet):
-        variables = x0.vars + tuple(names)
-        orders = x0.orders + (1,) * depth
-        x = x0.extend(variables, orders)
-    else:
-        variables = tuple(names)
-        orders = (1,) * depth
-        x = jets.constant(np.asarray(x0, dtype=float), variables, orders)
+    x = jets.constant(x0, names, (1,) * depth)  # a jet x0 keeps its own variables first
+    variables, orders = x.vars, x.orders
     for name in names:
         x = x + jets.unit(variables, orders, name) * vector_field(x)
     g = scalar_field(x)

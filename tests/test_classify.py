@@ -15,6 +15,7 @@ from singclass.classify import (
     Tolerances,
     classify_point,
 )
+from singclass.fibering import ExplicitPair
 from singclass.gallery import gallery_map
 from singclass.model import SMOOTH, MapModel, conjugate, random_affine_pair
 
@@ -23,6 +24,7 @@ class TestKinds:
     def test_regular(self):
         c = classify_point(gallery_map("fold_t2").model, [1.0, 0.0])
         assert c.kind == REGULAR and c.transversality_order == 0
+        assert c.describe() == "Regular"
 
     def test_non_simple_refused(self):
         def ev(x):
@@ -31,6 +33,7 @@ class TestKinds:
         dd = MapModel(2, SMOOTH, ev, "dd")
         c = classify_point(dd, [0.0, 0.0])
         assert c.kind == NON_SIMPLE and c.kdim == 2
+        assert c.describe() == "NonSimpleKernel(2)"
         assert not c.evidence.routes  # no functional analysis attempted
 
     def test_whitney4_is_order_four(self):
@@ -38,22 +41,26 @@ class TestKinds:
         c = classify_point(model, np.zeros(4), k_cap=6)
         assert (c.kind, c.k) == (K_SINGULARITY, 4)
         assert c.transversality_order == 4
+        assert c.describe() == "KSingularity(4)"
 
     def test_family_maximal_three(self):
         model = gallery_map("family_kn", {"k": 3, "n": 0, "dimZ": 0}).model
         c = classify_point(model, np.zeros(4))
         assert (c.kind, c.k) == (MAXIMAL_K_TRANSVERSE, 3)
         assert c.transversality_order == 3
+        assert c.describe() == "MaximalKTransverse(3)"
 
     def test_cubic_head_not_one_transverse(self):
         c = classify_point(gallery_map("cusp_source_t3").model, np.zeros(2))
         assert c.kind == NOT_ONE_TRANSVERSE and c.transversality_order == 0
+        assert c.describe() == "NotOneTransverse"
 
     def test_cap_reached(self):
         model = gallery_map("l2_truncated", {"N": 4}).model
         c = classify_point(model, np.zeros(5), k_cap=3)
         assert (c.kind, c.k) == (TRANSVERSE_UP_TO_CAP, 3)
         assert c.transversality_order == 3
+        assert c.describe() == "TransverseUpToCap(3)"
 
     def test_k_cap_validation(self):
         with pytest.raises(ValueError):
@@ -206,6 +213,25 @@ class TestRoutes:
         fib = classify_point(model, u, route="fibering")
         ls = classify_point(model, u, route="ls")
         assert both.same_kind(fib) and both.same_kind(ls)
+
+    def test_route_disagreement_is_indeterminate(self):
+        """phi = psi = e_1 on fold_t2, whose kernel and cokernel at 0 are e_0,
+        gives J_0 = 1 on the fibering route, where the ls route finds the
+        fold: the verdict is Indeterminate and keeps both trails."""
+        model = gallery_map("fold_t2").model
+        e1 = np.array([0.0, 1.0])
+        pair = ExplicitPair(np.zeros(2), lambda x: e1, lambda x: e1, "off-kernel")
+        c = classify_point(model, np.zeros(2), route="both", pair=pair)
+        assert (c.kind, c.stage, c.describe()) == (
+            INDETERMINATE, "route-disagreement", "Indeterminate[route-disagreement]")
+        assert c.evidence.route_agreement is False
+        assert c.transversality_order == 0
+        fib, ls = c.evidence.routes
+        assert (fib.route, fib.kind, fib.stage) == ("fibering", INDETERMINATE, "J_0")
+        assert fib.J_values == [1.0]
+        assert (ls.route, ls.kind, ls.k, ls.transversality_order) == ("ls", K_SINGULARITY, 1, 1)
+        alone = classify_point(model, np.zeros(2), route="fibering", pair=pair)
+        assert alone.describe() == "Indeterminate[J_0]"
 
     def test_unknown_route(self):
         with pytest.raises(ValueError):

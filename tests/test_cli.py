@@ -230,6 +230,21 @@ class TestBvpCommand:
         assert abs(data["oracle.J3_numeric"] - 24.0) < 1e-12
 
 
+    def test_one_sign_riccati_map_is_a_fold(self, tmp_path):
+        """a = 1: at u = 0 the Riccati map u' + u^2 folds, with |J_1| = 2 mean(a)
+        for the unit-norm kernel vector ones / sqrt(N).  The quartic oracle's
+        closed forms need a mean-free a, so the report has no oracle rows."""
+        out = tmp_path / "b.txt"
+        code = run(["bvp", "--bvp-n", "32", "--bvp-a", "[(0, 1.0, 0.0)]", "--out", str(out)])
+        assert code == 0
+        text = out.read_text()
+        data = parse(text)
+        assert (data["result.kind"], data["result.k"]) == ("KSingularity", 1)
+        assert "oracle." not in text
+        for route in ("fibering", "ls"):
+            assert abs(abs(data[f"route.{route}.J"][1]) * math.sqrt(32) - 2.0) < 1e-12
+
+
 class TestDeterminism:
     def test_classify_reports_byte_identical(self, tmp_path):
         args = ["classify", "--gallery", "whitney", "--param", "k=3",

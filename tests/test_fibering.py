@@ -125,6 +125,16 @@ class TestFunctionals:
         base = classify_point(model, np.zeros(2), route="both")
         assert base.kind == "NotOneTransverse"
 
+    def test_constant_explicit_pair_reads_rows_at_jet_points(self):
+        """Plain fields phi = psi = e_0 meet a jet F'(x) phi on the rows:
+        ``jets.dot`` puts the jet first, so the contraction stays a jet (an
+        ndarray times a Jet would be an object array)."""
+        model = gallery_map("fold_t2").model
+        e0 = np.array([1.0, 0.0])
+        pair = ExplicitPair(np.zeros(2), lambda x: e0, lambda x: e0, "constant")
+        c = classify_point(model, np.zeros(2), route="fibering", pair=pair)
+        assert (c.kind, c.k, c.evidence.routes[0].J_values) == ("KSingularity", 1, [0.0, 2.0])
+
     def test_zero_set_matches_singular_set_near_fold(self):
         model = gallery_map("fold_t2").model
         pair = make_fibering_pair(model, [0.0, 0.0])

@@ -3,7 +3,7 @@ import pytest
 
 from singclass import jets
 from singclass.errors import ParamOutOfRange, UnknownName
-from singclass.gallery import default_entries, gallery_map, list_gallery
+from singclass.gallery import gallery_map, list_gallery
 
 
 def test_unknown_name():
@@ -54,7 +54,7 @@ def test_integral_float_params_are_accepted():
     assert entry.model.label == "whitney(k=2,dimZ=1)"
 
 def test_expected_fixtures_have_points_and_notes():
-    for entry in default_entries():
+    for entry in list_gallery():
         assert entry.expected
         for exp in entry.expected:
             assert exp.points
@@ -114,5 +114,5 @@ def test_listing_filter():
 
 
 def test_listing_sorted_and_stable():
-    names = [(e.name, tuple(sorted(e.params.items()))) for e in default_entries()]
+    names = [(e.name, tuple(sorted(e.params.items()))) for e in list_gallery()]
     assert names == sorted(names)

@@ -419,24 +419,17 @@ class TestPolynomialExactness:
 
 
 class TestExtend:
+    """A jet's context is extended by ``jets.constant`` of the jet: the new
+    variables follow its own, and its coefficients sit at their degree zero."""
+
     def test_appended_variables_are_zero_padded(self):
         x = Jet(("s",), (2,), np.arange(1.0, 7.0).reshape(2, 3))
-        y = x.extend(("s", "a", "b"), (2, 1, 2))
+        y = jets.constant(x, ("a", "b"), (1, 2))
         assert (y.vars, y.orders, y.coeffs.shape) == (("s", "a", "b"), (2, 1, 2), (2, 3, 2, 3))
         np.testing.assert_array_equal(y.coeffs[..., 0, 0], x.coeffs)
         rest = y.coeffs.copy()
         rest[..., 0, 0] = 0.0
         assert not rest.any()
-        lifted = jets.constant(x, ("a", "b"), (1, 2))  # a jet value keeps its own variables first
-        assert (lifted.vars, lifted.orders) == (y.vars, y.orders)
-        np.testing.assert_array_equal(lifted.coeffs, y.coeffs)
-
-    @pytest.mark.parametrize(
-        "variables, orders", [(("a", "s"), (1, 2)), (("s", "a"), (1, 1)), (("t", "a"), (2, 1))]
-    )
-    def test_context_must_start_with_current_one(self, variables, orders):
-        with pytest.raises(ValueError):
-            jet1([1.0, 2.0, 3.0]).extend(variables, orders)
 
 
 class TestIntegrate:

@@ -1,6 +1,7 @@
 """The jet coefficient layout is private to ``jets``: other modules work on
 jets through its functions and methods, never on the coefficient array.
-Every zero, rank and regularity decision reads ``linalg.negligible``,
+Every zero, rank and regularity decision reads ``linalg.negligible``, every
+SVD is taken in ``linalg`` and every jet-or-array branch sits in ``jets``,
 every gallery map but one is built by the one unfolding builder, and every
 fibering pair is bound at a point by ``at`` and read through its two field
 methods."""
@@ -134,3 +135,43 @@ def test_only_jets_names_the_jacobian_operator():
             for node in ast.walk(ast.parse(path.read_text()))
             if (getattr(node, "id", None) or getattr(node, "attr", None)) in names]
     assert hits == []
+
+
+def _outside(module: str):
+    """(file name, AST node) of every node of every module but ``module``."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != module:
+            yield from ((path.name, node) for node in ast.walk(ast.parse(path.read_text())))
+
+
+def test_only_linalg_takes_an_svd():
+    """Ranks, null spaces and singular values come from ``linalg``: no other
+    module calls ``np.linalg.svd`` or reads a private ``linalg._`` name."""
+    hits = [f"{name}:{node.lineno}: {ast.unparse(node)}" for name, node in _outside("linalg.py")
+            if isinstance(node, ast.Attribute) and isinstance(node.value, (ast.Name, ast.Attribute))
+            and (node.attr == "svd" or ast.unparse(node.value) == "linalg"
+                 and node.attr.startswith("_"))]
+    assert hits == []
+
+
+def test_only_jets_branches_on_jets():
+    """Code that runs on plain and jet operands alike calls a ``jets``
+    function; no other module tests ``isinstance(..., Jet)``."""
+    def names_jet(node):
+        types = node.elts if isinstance(node, ast.Tuple) else [node]
+        return any(ast.unparse(t) in ("Jet", "jets.Jet") for t in types)
+
+    hits = [f"{name}:{node.lineno}: {ast.unparse(node)}" for name, node in _outside("jets.py")
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2 and names_jet(node.args[1])]
+    assert hits == []
+
+
+def test_bordered_solve_has_one_right_hand_side():
+    """Every pair solves the bordered system for (0, .., 0, 1), so
+    ``bordered_solve`` takes no right-hand side."""
+    tree = ast.parse((SRC / "linalg.py").read_text())
+    (fn,) = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == "bordered_solve"]
+    args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+    assert [arg.arg for arg in args] == ["A", "lu_piv", "trans"]

@@ -103,15 +103,16 @@ class TestKernelCokernel:
         assert c[0] > 0 and w[0] > 0
 
 
-def bordered(A, b, c, rhs, trans=0):
-    """``bordered_solve`` against the ``border_factor`` of A's constant term."""
+def bordered(A, b, c, trans=0):
+    """``bordered_solve`` against the ``border_factor`` of A's constant term:
+    the right-hand side is (0, .., 0, 1)."""
     lu = linalg.border_factor(A.const if isinstance(A, Jet) else A, b, c)
-    return linalg.bordered_solve(A, rhs, lu, trans=trans)
+    return linalg.bordered_solve(A, lu, trans=trans)
 
 
 class TestBorderedSolve:
     def test_direct_substitution(self):
-        x, s = bordered(np.diag([0.0, 1.0]), [1.0, 0.0], [1.0, 0.0], ([0.0, 0.0], 1.0))
+        x, s = bordered(np.diag([0.0, 1.0]), [1.0, 0.0], [1.0, 0.0])
         np.testing.assert_allclose(x, [1.0, 0.0], atol=1e-14)
         assert s == pytest.approx(0.0, abs=1e-14)
 
@@ -120,7 +121,7 @@ class TestBorderedSolve:
         A = rng.standard_normal((3, 3)) + 3 * np.eye(3)
         b = rng.standard_normal(3)
         c = rng.standard_normal(3)
-        x, s = bordered(A, b, c, (np.zeros(3), 1.0))
+        x, s = bordered(A, b, c)
         # x = -s A^{-1} b with the unique s making c.x = 1
         np.testing.assert_allclose(x, -s * np.linalg.solve(A, b), atol=1e-12)
         assert np.dot(c, x) == pytest.approx(1.0)
@@ -130,16 +131,16 @@ class TestBorderedSolve:
         for _ in range(20):
             A = rng.standard_normal((4, 4)) + 4 * np.eye(4)
             b, c = rng.standard_normal(4), rng.standard_normal(4)
-            r1, r2 = rng.standard_normal(4), rng.standard_normal()
-            x, s = bordered(A, b, c, (r1, r2))
-            res = np.linalg.norm(A @ x + s * b - r1) + abs(np.dot(c, x) - r2)
-            assert res <= 1e-10 * (1 + np.linalg.norm(A, 2))
+            for trans, (M, top, bottom) in enumerate(((A, b, c), (A.T, c, b))):
+                x, s = bordered(A, b, c, trans=trans)
+                res = np.linalg.norm(M @ x + s * top) + abs(np.dot(bottom, x) - 1.0)
+                assert res <= 1e-10 * (1 + np.linalg.norm(A, 2))
 
     def test_singular_border_raises(self):
         # b inside the range and c orthogonal to the kernel make the border singular
         A = np.diag([0.0, 1.0])
         with pytest.raises(SingularBorder):
-            bordered(A, [0.0, 1.0], [0.0, 1.0], ([0.0, 0.0], 1.0))
+            bordered(A, [0.0, 1.0], [0.0, 1.0])
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_matrix_raises_before_any_svd(self, bad):
@@ -164,7 +165,7 @@ class TestBorderedSolve:
                 jets.stack([constant(0.0, (name,), (1,)), constant(1.0, (name,), (1,))]),
             ]
         )
-        x, s = bordered(A, [1.0, 0.0], [1.0, 0.0], (np.zeros(2), 1.0))
+        x, s = bordered(A, [1.0, 0.0], [1.0, 0.0])
         np.testing.assert_allclose(x.const, [1.0, 0.0], atol=1e-14)
         np.testing.assert_allclose(np.asarray(x.extract({name: 1})), [0.0, 0.0], atol=1e-14)
         assert float(s.const) == pytest.approx(0.0, abs=1e-14)
@@ -181,10 +182,10 @@ class TestBorderedSolve:
         co = Aj.coeffs.copy()
         co[..., 1] = A1
         Aj = Jet((name,), (2,), co)
-        x, s = bordered(Aj, b, c, (np.zeros(3), 1.0))
+        x, s = bordered(Aj, b, c)
         h = 1e-5
-        xp, _ = bordered(A0 + h * A1, b, c, (np.zeros(3), 1.0))
-        xm, _ = bordered(A0 - h * A1, b, c, (np.zeros(3), 1.0))
+        xp, _ = bordered(A0 + h * A1, b, c)
+        xm, _ = bordered(A0 - h * A1, b, c)
         fd1 = (xp - xm) / (2 * h)
         np.testing.assert_allclose(np.asarray(x.extract({name: 1})), fd1, rtol=1e-6, atol=1e-8)
 
@@ -194,16 +195,15 @@ class TestBorderedSolve:
         A0 = rng.standard_normal((3, 3)) + 3 * np.eye(3)
         A1 = rng.standard_normal((3, 3))
         b, c = rng.standard_normal(3), rng.standard_normal(3)
-        r1, r2 = rng.standard_normal(3), rng.standard_normal()
         name = jets.fresh_name("s")
         Aj = constant(A0, (name,), (2,)) + unit((name,), (2,), name) * A1
-        x, s = bordered(Aj, b, c, (r1, r2), trans=1)
-        top = jets.matvec(jets.transpose_mat(Aj), x) + s * c - r1
-        bottom = jets.dot(b, x) - r2
+        x, s = bordered(Aj, b, c, trans=1)
+        top = jets.matvec(jets.transpose_mat(Aj), x) + s * c
+        bottom = jets.dot(b, x) - 1.0
         assert max(np.abs(top.coeffs).max(), np.abs(bottom.coeffs).max()) < 1e-12
         h = 1e-5
-        xp, _ = bordered(A0 + h * A1, b, c, (r1, r2), trans=1)
-        xm, _ = bordered(A0 - h * A1, b, c, (r1, r2), trans=1)
+        xp, _ = bordered(A0 + h * A1, b, c, trans=1)
+        xm, _ = bordered(A0 - h * A1, b, c, trans=1)
         fd1 = (xp - xm) / (2 * h)
         np.testing.assert_allclose(np.asarray(x.extract({name: 1})), fd1, rtol=1e-6, atol=1e-8)
 
@@ -218,11 +218,10 @@ class TestBorderedSolve:
         co = np.zeros((3, n, n, 3))
         co[..., 0] = A0
         co[..., 1:] = rng.standard_normal((3, n, n, 2))
-        rhs = (np.zeros(n), 1.0)
         lu = linalg.border_factor(A0, b, c)
-        x, s = linalg.bordered_solve(Jet((name,), (2,), co), rhs, lu, trans=trans)
+        x, s = linalg.bordered_solve(Jet((name,), (2,), co), lu, trans=trans)
         assert x.value_shape == (3, n) and s.value_shape == (3,)
         for i in range(3):
-            xi, si = bordered(Jet((name,), (2,), co[i]), b, c, rhs, trans=trans)
+            xi, si = bordered(Jet((name,), (2,), co[i]), b, c, trans=trans)
             np.testing.assert_array_equal(x.coeffs[i], xi.coeffs)
             np.testing.assert_array_equal(s.coeffs[i], si.coeffs)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from singclass import jets
-from singclass.errors import SingularAffine
+from singclass.errors import NonFiniteMatrix, SingularAffine
 from singclass.gallery import gallery_map
 from singclass.linalg import linearize
 from singclass.model import (
@@ -18,6 +18,15 @@ from helpers import identity_affine, inverse_affine
 def test_singular_affine_rejected():
     with pytest.raises(SingularAffine):
         AffinePair(np.zeros((2, 2)), np.zeros(2), np.eye(2), np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_affine_rejected(bad):
+    """Both matrices are judged by ``linalg.rank_decision``, which refuses a
+    non-finite entry before its SVD."""
+    M = np.array([[1.0, bad], [0.0, 1.0]])
+    with pytest.raises(NonFiniteMatrix):
+        AffinePair(np.eye(2), np.zeros(2), M, np.zeros(2))
 
 
 def test_identity_conjugation_is_identity():

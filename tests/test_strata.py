@@ -232,6 +232,26 @@ class TestSampling:
             pf = PointFunctionals(model, pair, off)
             assert abs(pf.J(0)) > 1e-4
 
+    def test_failed_projections_halve_the_radius_then_drop_the_sample(self, monkeypatch):
+        """On the cubic head every projection fails, here by the linear rate
+        on a double zero of J_0: each sample tries five guesses, the radius
+        halving from SAMPLE_RADIUS, and is then dropped without an error."""
+        from singclass import strata
+
+        model = gallery_map("cusp_source_t3").model
+        guesses, project = [], strata.project_to_singular
+
+        def recording(model, guess, *args, **kwargs):
+            guesses.append(guess)
+            return project(model, guess, *args, **kwargs)
+
+        monkeypatch.setattr(strata, "project_to_singular", recording)
+        sample = sample_stratum(model, np.zeros(2), bordered_pair(model, np.zeros(2)), count=1)
+        assert (sample.points, sample.h_membership, sample.residuals) == ([], [], [])
+        rng = np.random.default_rng(0)
+        expect = [strata.SAMPLE_RADIUS * 0.5**i * rng.standard_normal(2) for i in range(5)]
+        np.testing.assert_array_equal(np.array(guesses), np.array(expect))
+
     def test_membership_orders_recorded(self):
         model = gallery_map("eps_perturbed", {"eps": 0.0}).model
         pair = make_fibering_pair(model, np.zeros(2))
