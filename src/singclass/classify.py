@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
+from .errors import OrderExceedsSmoothness
 from .fibering import PairBase, PointFunctionals, make_fibering_pair
 from .lsreduce import local_representation
 from .model import MapModel
@@ -148,6 +149,8 @@ def classify_point(
         raise ValueError(f"unknown route {route!r}")
     if k_cap < 1:
         raise ValueError("k_cap must be at least 1")
+    if model.d < 2:  # no F'' to classify by, on any route
+        raise OrderExceedsSmoothness(f"smoothness {model.d} < 2 leaves no F''")
     lin = linalg.linearize(model, u, tol.rank)
     kdim = lin.kdim
     report = ClassificationReport(

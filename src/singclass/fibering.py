@@ -15,14 +15,14 @@ of F' and are exactly jet-differentiable through the solve.
 From the pair, the scalar J0(u) = psi(u) F'(u) phi(u) and its iterated
 derivatives along phi (rows I_k = grad J_{k-1}, values J_k = I_k phi) are
 the data every classification decision consumes.  For the bordered pair
-J0 = -s, the test function of the phi solve (Griewank & Reddien 1984), so psi
-is solved only at the base point.  Bordered by the last singular pair of
-F'(u0), the system is regular near any u0 with one small singular value.
+J0 = -s, the test function of the phi solve (Griewank & Reddien 1984).
+Bordered by the last singular pair of F'(u0), the system is regular near any
+u0 with one small singular value.
 
-J_{k-1} is (k-1)! times the s^(k-1) coefficient of J0(Phi_s(u)), Phi_s the
-flow of phi, so every row comes from one Taylor expansion of the flow:
-Picard passes x <- u + int_0^s phi(x), each exact through one more degree in
-s (Griewank & Walther, *Evaluating Derivatives*, SIAM 2008, ch. 13).
+J_{k-1} is (k-1)! times the s^(k-1) coefficient of J0(x(s)), x(s) the flow of
+phi from u, so I_k comes from one flow jet in s alone, with no probe axis, and
+one adjoint sweep (Griewank & Walther, *Evaluating Derivatives*, ch. 13); psi
+and phi along the flow come from the Taylor series of the bordered inverse.
 """
 
 from __future__ import annotations
@@ -38,15 +38,13 @@ from . import jets, linalg
 from .errors import NotSimple, OrderExceedsSmoothness, VanishingScale
 from .model import MapModel
 
-# floats of one probe chunk's F'(x) jet (its d if jac is set) at row min(d - 1, n + 1)
-_ROW_BATCH_BUDGET = 1 << 20
 _SCALE_RADIUS = 0.5  # working neighbourhood on which a ScaleSpec must not vanish
 
 
 class PairBase:
     """A fibering pair, bound near a point by ``at`` and then read through two
     field methods at a plain or jet point x with F'(x) = Fp: ``phi_j0`` gives
-    phi and J0 = psi F' phi, ``psi`` psi."""
+    phi and J0 = psi F' phi, ``psi`` psi.  ``flow_terms`` feeds the row sweep."""
 
     pair_id = "pair"
 
@@ -60,6 +58,21 @@ class PairBase:
     def psi(self, x, Fp):
         raise NotImplementedError
 
+    def flow_terms(self, model, x, Fp, extend, speed=1.0):
+        """(phi, J0, q, adjoint) of order K along the flow x(s) = x exact through s^K,
+        F'(x) = Fp (None at K = 0), once ``extend(phi)`` moved it on: q = speed grad J0,
+        adjoint(w) = speed Dphi^T w, the flow's velocity being speed phi.  This
+        default probes ``phi_j0`` once, at x + eps v over the n axes v."""
+        e = jets.fresh_name("probe")
+        xp = jets.constant(x, (e,), (1,))
+        xp = xp + jets.unit(xp.vars, xp.orders, e) * np.eye(model.n)  # [v, i]: a probe axis v
+        phi, j0 = self.phi_j0(xp, jets.jacobian(model, xp))
+        phi = xp * 0.0 + phi  # a jet with the probe axis also for a constant field
+        dphi, phi = phi.extract({e: 1}), jets.transpose_mat(phi.extract({e: 0}))[0]
+        extend(phi)
+        return (phi, j0.extract({e: 0})[0], j0.extract({e: 1}) * speed,
+                lambda w: jets.matvec(dphi, w) * speed)
+
 
 @dataclass(frozen=True)
 class FiberingPair(PairBase):
@@ -69,11 +82,13 @@ class FiberingPair(PairBase):
     border_b: np.ndarray
     border_c: np.ndarray
     border_lu: tuple | None = field(default=None, repr=False, compare=False)
+    inverse: list = field(default_factory=list, repr=False, compare=False)  # W(s) along the flow
 
     pair_id = "bordered(phi_scale=1,psi_scale=1)"  # the report text of the unscaled pair
 
     def at(self, u, Fp0, tol: float) -> "FiberingPair":
-        return replace(self, border_lu=linalg.border_factor(Fp0, self.border_b, self.border_c, tol))
+        lu = linalg.border_factor(Fp0, self.border_b, self.border_c, tol)
+        return replace(self, border_lu=lu, inverse=[])
 
     def psi(self, x, Fp):
         return linalg.bordered_solve(Fp, self.border_lu, trans=1)[0]
@@ -82,6 +97,17 @@ class FiberingPair(PairBase):
         """phi and -s from one solve (J0 is 0.0, not -0.0, when s is zero)."""
         phi, s = linalg.bordered_solve(Fp, self.border_lu)
         return phi, 0.0 - s
+
+    def flow_terms(self, model, x, Fp, extend, speed=1.0):
+        """One solve extends W(s), the bordered matrix's inverse along the flow, by
+        W_K: column n is phi, entry (n, n) -J0, row n psi, rows r < n mu_r.  With
+        T = d/ds F'(x(s)) = speed F''(x)[phi, .], q = T^T psi, adjoint(w) = -T^T mu^T w."""
+        linalg.extend_inverse(self.border_lu, Fp, self.inverse)
+        n, W = len(self.border_b), jets.series(self.inverse, x.vars[0])
+        phi, Wt = W[n][:n], jets.transpose_mat(W)
+        Tt = jets.transpose_mat(jets.derivative(extend(phi)))
+        return (phi, -W[n][n], jets.matvec(Tt, Wt[n][:n]),
+                lambda w: -jets.matvec(Tt, jets.matvec(Wt, w.append_zero())[:n]))
 
 
 @dataclass(frozen=True)
@@ -112,6 +138,12 @@ class ScaleSpec:
         if quad.size and float(np.linalg.norm(quad, 2)) * _SCALE_RADIUS * _SCALE_RADIUS >= 0.9:
             raise VanishingScale("quadratic term may vanish on the working neighbourhood")
 
+    def grad(self, x):
+        """The gradient at a (jet) point x: c (Q + Q^T)(x - center), 0 if constant."""
+        if self.quad is None:
+            return 0.0
+        return jets.matvec(self.quad + self.quad.T, x - self.center) * self.value
+
     def describe(self) -> str:
         if self.quad is None:
             return f"const({self.value:g})"
@@ -138,6 +170,15 @@ class RescaledPair(PairBase):
         phi, j0 = self.inner.phi_j0(x, Fp)
         alpha = self.alpha(x)  # a scalar per batched point: stack adds the component axis
         return phi * jets.stack([alpha]), j0 * alpha * self.beta(x)
+
+    def flow_terms(self, model, x, Fp, extend, speed=1.0):
+        """The inner terms by the product rule: grad(alpha beta J0) = alpha beta grad J0
+        + J0 grad(alpha beta), D(alpha phi)^T w = alpha Dphi^T w + grad alpha (phi . w)."""
+        a, b = self.alpha(x), self.beta(x)
+        phi, j0, q, adjoint = self.inner.flow_terms(model, x, Fp, lambda p: extend(p * a), speed * a)
+        ga, gb = self.alpha.grad(x) * speed, self.beta.grad(x) * speed
+        return (phi * a, j0 * a * b, q * b + (ga * b + gb * a) * j0,
+                lambda w: adjoint(w) + ga * jets.dot(phi, w))
 
 
 @dataclass(frozen=True)
@@ -166,12 +207,12 @@ class ExplicitPair(PairBase):
 class PointFunctionals:
     """Fibering functionals of one (model, pair) anchored at one point.
 
-    Row I_k = grad J_{k-1} is (k-1)! times the eps s^(k-1) coefficient of
-    J0(Phi_s(u + eps v)), batched over probe directions v along a leading
-    value axis; J_k = I_k . phi(u).  The flow is kept per probe chunk, so row
-    k+1 costs one Jacobian and one bordered solve more than row k.  ``u`` is a
-    plain point or its ``linalg.Linearization``, whose F'(u) is then reused;
-    ``pair`` is kept bound at u (``PairBase.at``).
+    Row I_k = grad J_{k-1} is (k-1)! times the gradient of the s^(k-1)
+    coefficient of J0(x(s)), x(s) the flow of phi from u; J_k = I_k . phi(u).
+    The flow is one jet in s, kept from row to row: row k moves it one degree
+    on (one Jacobian; one solve for the bordered pair) and runs one adjoint
+    sweep.  ``u`` is a plain point or its ``linalg.Linearization``, whose F'(u)
+    is then reused; ``pair`` is kept bound at u (``PairBase.at``).
     """
 
     def __init__(self, model: MapModel, pair: PairBase, u, tol: float = linalg.DEFAULT_RANK_TOL):
@@ -184,10 +225,8 @@ class PointFunctionals:
         self.pair = pair.at(self.u, self.Fp0, tol)
         phi0, j0 = self.pair.phi_j0(self.u, self.Fp0)
         self.phi0 = np.asarray(phi0, dtype=float)
-        self._J: dict[int, float] = {0: float(j0)}
-        self._rows: dict[int, np.ndarray] = {}
-        self._eps, self._s = jets.fresh_name("grad"), jets.fresh_name("flow")
-        self._flow: list[list] = []  # per probe chunk: [u + eps v, phi at the last flow jet]
+        self._j0, self._rows = float(j0), {}
+        self._x, self._Fp = jets.constant(self.u, (jets.fresh_name("flow"),), (0,)), None  # flow, F'
 
     @cached_property
     def psi0(self) -> np.ndarray:
@@ -197,9 +236,7 @@ class PointFunctionals:
     # -- rows and values -------------------------------------------------------
 
     def J(self, k: int) -> float:
-        if k not in self._J:
-            self._J[k] = float(np.dot(self.row(k), self.phi0))
-        return self._J[k]
+        return self._j0 if k == 0 else float(np.dot(self.row(k), self.phi0))
 
     def row(self, k: int) -> np.ndarray:
         """I_k(u) as a length-n row vector (gradient of J_{k-1}); rows
@@ -211,25 +248,21 @@ class PointFunctionals:
         return self._rows[k]
 
     def _next_row(self) -> None:
-        """Row k = len(rows) + 1 from the flow jet x_k = u + eps v + int_0^s
-        phi(x_{k-1}), exact through s^(k-1); keeps phi(x_k) for row k+1."""
-        n, k = self.model.n, len(self._rows) + 1
-        if k == 1:  # eps alone: a point that stops at I_1 pays for no s axis
-            deepest = min(self.model.d - 1, n + 1)  # row k + 1 follows k <= n independent rows
-            eps = jets.unit((self._eps,), (1,), self._eps)
-            # F'(x) floats per probe and coefficient: n for a jac's operator, n^2 otherwise
-            per_probe = n if self.model.jac is not None else n * n
-            chunk = max(1, _ROW_BATCH_BUDGET // (per_probe * 2 * deepest))
-            self._flow = [[eps * np.eye(n)[start : start + chunk] + self.u, None]
-                          for start in range(0, n, chunk)]
-        grads = []
-        for rec in self._flow:
-            x, phi = rec
-            if phi is not None:
-                x = jets.constant(x, (self._s,), (k - 1,)) + jets.integrate(phi, self._s, k - 1)
-            rec[1], j0 = self.pair.phi_j0(x, jets.jacobian(self.model, x))
-            grads.append(j0.extract({self._eps: 1, self._s: k - 1}) * math.factorial(k - 1))
-        self._rows[k] = np.concatenate(grads)
+        """Row k = K + 1 = K! xibar_0 once the flow moves on to s^(K+1): the tangent
+        xi(s) = DPhi_s v runs (j+1) xi_{j+1} = sum_i A_i xi_{j-i}, so from j = K down
+        xibar_j = q_{K-j} + sum_i A_i^T xibar_{j+1+i} / (j+1+i), the sum being the
+        s^(K-1-j) coefficient of A(s)^T H(s), H_d = xibar_{K-d} / (K-d)."""
+        K, s = len(self._rows), self._x.vars[0]
+        def extend(phi):  # x' = phi through s^K
+            self._x = jets.integrate(phi, s, K + 1) + self.u
+            self._Fp = jets.jacobian(self.model, self._x)
+            return self._Fp
+        _, _, q, adjoint = self.pair.flow_terms(self.model, self._x, self._Fp, extend)
+        bar = [q.extract({s: K - j}) for j in range(K + 1)]  # xibar_j before the sum
+        for j in range(K - 1, -1, -1):
+            H = [bar[p] / p for p in range(K, j, -1)] + [0 * bar[0]] * (j + 1)
+            bar[j] = bar[j] + adjoint(jets.series(H, s)).extract({s: K - 1 - j})
+        self._rows[K + 1] = bar[0] * math.factorial(K)
 
 
 def bordered_pair(model: MapModel, u0, tol: float = linalg.DEFAULT_RANK_TOL) -> FiberingPair:

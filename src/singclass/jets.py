@@ -296,6 +296,18 @@ def integrate(x: Jet, name: str, order: int) -> Jet:
     return Jet(x.vars, orders, np.moveaxis(out, -1, x.value_ndim + i))
 
 
+def derivative(x: "Jet | MatrixPlusDiag") -> "Jet | MatrixPlusDiag":
+    """d/ds of a jet or ``MatrixPlusDiag`` in one variable s, one order lower."""
+    if isinstance(x, MatrixPlusDiag):  # the constant A drops out
+        return MatrixPlusDiag(None, derivative(x._diag), x._left, x._right)
+    return Jet(x.vars, (x.orders[0] - 1,), x.coeffs[..., 1:] * np.arange(1, x.orders[0] + 1))
+
+
+def series(coeffs: Sequence[np.ndarray], name: str) -> Jet:
+    """The jet sum_j coeffs[j] name^j of same-shaped plain arrays (``extract`` reads one)."""
+    return Jet((name,), (len(coeffs) - 1,), np.stack(coeffs, axis=-1))
+
+
 def unit(variables: Sequence[str], orders: Sequence[int], name: str) -> Jet:
     """The scalar jet of one variable inside a larger context."""
     pos = [0] * len(orders)

@@ -139,6 +139,18 @@ def solve_passes(lu_piv, R: Jet, nil_apply, trans: int = 0) -> Jet:
     return X
 
 
+def extend_inverse(lu_piv, A, W: list) -> None:
+    """Append W_K to W = [W_0 .. W_{K-1}], the Taylor coefficients in s of M(s)^{-1},
+    M(s) = [[A(s), b], [c^T, 0]] with M_0 factored in ``lu_piv`` and A exact through s^K:
+    one solve with n + 1 columns, W_K = -M_0^{-1} sum_{i>=1} [[A_i, 0], [0, 0]] W_{K-i}."""
+    n, rhs = len(lu_piv[0]) - 1, np.eye(len(lu_piv[0]))
+    if W:  # [s^K] of (A(s) - A_0) W(s) reads W_0 .. W_{K-1} alone
+        s, K = A.vars[0], len(W)
+        cols = jets.transpose_mat(jets.series(W + [0 * W[0]] * (A.orders[0] + 1 - K), s))[:n]
+        rhs = np.vstack([-jets.matvec(A.nilpotent(), cols).extract({s: K}).T, np.zeros(n + 1)])
+    W.append(lu_solve(lu_piv, rhs))
+
+
 def bordered_solve(A, lu_piv, trans: int = 0):
     """Solution (x, s) of [[A, b], [c^T, 0]] (x, s) = (0, .., 0, 1), or with
     ``trans=1`` of the transposed system [[A^T, c], [b^T, 0]] (x, s) = (0, .., 0, 1),

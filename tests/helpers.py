@@ -3,6 +3,7 @@ Lie derivatives, transformed pairs) and map builders."""
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import Callable
 
@@ -14,6 +15,7 @@ from singclass.jets import Jet
 from singclass.model import AffinePair, MapModel, conjugate
 
 NESTED_DEPTH_CAP = 8  # a nested Lie derivative of depth k carries 2^k coefficients per jet
+PROBE_BUDGET = 1 << 20  # floats of one probe chunk's F'(x) jet at the deepest row
 
 
 def fd_directional(model: MapModel, u, v, order: int, step: float = 1e-4) -> np.ndarray:
@@ -177,6 +179,32 @@ def nested_row(pf: PointFunctionals, k: int) -> np.ndarray:
     x0 = x0 + jets.unit((g,), (1,), g) * np.eye(n)
     val = lie_value(partial(j0_at, pf), partial(phi_field, pf), x0, k - 1)
     return np.asarray(val.extract({g: 1}), dtype=float)
+
+
+def probe_rows(model: MapModel, pair: PairBase, u, k_max: int) -> list[np.ndarray]:
+    """Rows I_1 .. I_k_max of ``pair`` at u by pushing probe directions through
+    the flow (the oracle of the adjoint sweep in ``PointFunctionals``): I_k is
+    (k-1)! times the eps s^(k-1) coefficient of J0(x(s)) on the flow from
+    u + eps v, a jet in eps (order 1, batched over the n directions v, in chunks
+    of ``PROBE_BUDGET`` floats) and s, moved on one degree per row."""
+    n, u = model.n, np.asarray(u, dtype=float)
+    bound = PointFunctionals(model, pair, u).pair
+    g, s = jets.fresh_name("grad"), jets.fresh_name("flow")
+    per_probe = n if model.jac is not None else n * n  # F'(x) floats per probe and coefficient
+    chunk = max(1, PROBE_BUDGET // (per_probe * 2 * k_max))
+    eps = jets.unit((g,), (1,), g)
+    flows = [[eps * np.eye(n)[start:start + chunk] + u, None] for start in range(0, n, chunk)]
+    rows = []
+    for k in range(1, k_max + 1):
+        grads = []
+        for rec in flows:  # [u + eps v, phi at the last flow jet]
+            x, phi = rec
+            if phi is not None:
+                x = jets.constant(x, (s,), (k - 1,)) + jets.integrate(phi, s, k - 1)
+            rec[1], j0 = bound.phi_j0(x, jets.jacobian(model, x))
+            grads.append(j0.extract({g: 1, s: k - 1}) * math.factorial(k - 1))
+        rows.append(np.concatenate(grads))
+    return rows
 
 
 class TransformedPair(PairBase):

@@ -15,6 +15,7 @@ from singclass.classify import (
     Tolerances,
     classify_point,
 )
+from singclass.errors import OrderExceedsSmoothness
 from singclass.fibering import ExplicitPair
 from singclass.gallery import gallery_map
 from singclass.model import SMOOTH, MapModel, conjugate, random_affine_pair
@@ -236,6 +237,15 @@ class TestRoutes:
     def test_unknown_route(self):
         with pytest.raises(ValueError):
             classify_point(gallery_map("fold_t2").model, [0.0, 0.0], route="magic")
+
+    @pytest.mark.parametrize("d", [0, 1])
+    @pytest.mark.parametrize("route", ["fibering", "ls", "both"])
+    def test_smoothness_below_two_is_refused_on_every_route(self, d, route):
+        """A map of smoothness d < 2 has no F'' to classify by: every route
+        refuses it with the same typed error, not a verdict on one route."""
+        model = MapModel(2, d, gallery_map("fold_t2").model.eval, "lowreg")
+        with pytest.raises(OrderExceedsSmoothness):
+            classify_point(model, [0.0, 0.0], route=route)
 
 
 class TestAffineInvarianceOfOrder:

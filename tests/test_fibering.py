@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from singclass import fibering, jets, linalg
+from singclass import jets, linalg
 from singclass.bvp import PeriodicProblem, make_periodic_bvp
 from singclass.classify import Tolerances, classify_point
 from singclass.errors import NotSimple, VanishingScale
@@ -19,7 +19,8 @@ from singclass.gallery import gallery_map
 from singclass.linalg import linearize, rank_decision
 from singclass.model import conjugate, random_affine_pair
 
-from helpers import contraction, dense_jacobian, identity_affine, lie_J, nested_row, pair_transform
+from helpers import (contraction, dense_jacobian, identity_affine, lie_J, nested_row, pair_transform,
+                     probe_rows)
 from test_acceptance import INVARIANCE_FIXTURES, classification_table
 
 TOL = Tolerances()
@@ -302,10 +303,10 @@ class TestDepthGuards:
             pf.row(2)
 
 
-def quartic_bvp(N):
-    """u' + sin(2 pi t) u^2 + u^4 on N points; simple singularity at u = 0."""
+def quartic_bvp(N, p=1.0):
+    """u' + sin(2 pi t) u^2 + p u^4 on N points; simple singularity at u = 0."""
     return make_periodic_bvp(PeriodicProblem(N=N, a_terms=((1, 0.0, 1.0),),
-                                             p_terms=((0, 1.0, 0.0),)))
+                                             p_terms=((0, p, 0.0),)))
 
 
 def j0_fixture(label):
@@ -394,19 +395,16 @@ class TestBorderedTestFunction:
         (gallery_map("whitney", {"k": 3, "dimZ": 0}).model, np.zeros(3)),
         (quartic_bvp(32), np.zeros(32)),
     ], ids=["whitney", "bvp"])
-    def test_jet_points_make_no_transposed_solve(self, monkeypatch, model, u):
+    def test_rows_make_no_bordered_solve(self, monkeypatch, model, u):
+        """phi, psi and J0 along the flow come from the inverse series of the
+        bordered matrix: once ``__init__`` solved for phi(u), rows solve nothing
+        through ``bordered_solve``, plain or transposed."""
+        pf = PointFunctionals(model, make_fibering_pair(model, u), u)
         calls = []
-        solve = linalg.bordered_solve
-
-        def recording(A, *args, trans=0, **kwargs):
-            calls.append((isinstance(A, (jets.Jet, jets.MatrixPlusDiag)), trans))
-            return solve(A, *args, trans=trans, **kwargs)
-
-        monkeypatch.setattr(linalg, "bordered_solve", recording)
-        c = classify_point(model, u, route="fibering")
-        assert c.kind == "KSingularity" and c.k == 3
-        assert (True, 0) in calls
-        assert (True, 1) not in calls
+        monkeypatch.setattr(linalg, "bordered_solve", lambda *args, **kwargs: calls.append(args))
+        rows = [pf.row(k) for k in (1, 2, 3)]
+        assert calls == []
+        assert rank_decision(np.array(rows)).rank == 3 and abs(pf.J(3)) > 1e-3
 
 
 def gallery_table_points():
@@ -436,26 +434,35 @@ def invariance_pairs(model, u, seed):
     ]
 
 
-def assert_rows_match_nested(model, u, pair, k_max):
-    """Rows I_1 .. I_k_max from the flow equal the nested Lie-derivative rows
-    to 1e-12 relative to the largest row so far: a row that vanishes in exact
+def assert_rows_match(model, u, pair, k_max, oracle="nested"):
+    """Rows I_1 .. I_k_max from the adjoint sweep equal the oracle's rows (the
+    nested Lie-derivative rows, or the probe rows of ``helpers.probe_rows``) to
+    1e-12 relative to the largest row so far: a row that vanishes in exact
     arithmetic holds rounding noise at the scale of the rows before it."""
-    pf, oracle = PointFunctionals(model, pair, u), PointFunctionals(model, pair, u)
-    want = [nested_row(oracle, k) for k in range(1, k_max + 1)]
+    pf = PointFunctionals(model, pair, u)
+    if oracle == "nested":
+        nested = PointFunctionals(model, pair, u)
+        want = [nested_row(nested, k) for k in range(1, k_max + 1)]
+    else:
+        want = probe_rows(model, pair, u, k_max)
     for k, w in enumerate(want, 1):
         scale = max(np.linalg.norm(v) for v in want[:k])
-        assert np.linalg.norm(pf.row(k) - w) <= 1e-12 * scale, (pair.pair_id, k)
+        assert np.linalg.norm(pf.row(k) - w) <= 1e-12 * scale, (pair.pair_id, oracle, k)
+
+
+QUARTIC_SIZES = [(N, p) for N in (32, 64, 128, 256) for p in (1.0, 0.0)]
 
 
 class TestFlowRows:
-    """Rows from one Taylor flow along phi against the nested oracle."""
+    """Rows from one Taylor flow along phi and its adjoint sweep against the
+    nested and the probe oracles."""
 
     @pytest.mark.parametrize("name, params, point, k_max", gallery_table_points(),
                              ids=lambda v: str(v) if not isinstance(v, dict) else None)
     def test_gallery_table_rows(self, name, params, point, k_max):
         model = gallery_map(name, params).model
         u = np.array(point)
-        assert_rows_match_nested(model, u, bordered_pair(model, u), k_max)
+        assert_rows_match(model, u, bordered_pair(model, u), k_max)
 
     @pytest.mark.parametrize("name, params, point", INVARIANCE_FIXTURES,
                              ids=[f"{n}{sorted(p.items())}" for n, p, _ in INVARIANCE_FIXTURES])
@@ -463,23 +470,57 @@ class TestFlowRows:
         entry = gallery_map(name, params)
         k_max = min(6, (entry.expected[0].k or 0) + 1)
         for model, u, pair in invariance_pairs(entry.model, np.array(point), 21):
-            assert_rows_match_nested(model, u, pair, k_max)
+            assert_rows_match(model, u, pair, k_max)
 
-    @pytest.mark.parametrize("N", [32, 64])
+    @pytest.mark.parametrize("N, p", QUARTIC_SIZES,
+                             ids=[f"{N}" if p else f"{N}-p0" for N, p in QUARTIC_SIZES])
     @pytest.mark.parametrize("conjugated", [False, True], ids=["plain", "conjugated"])
-    def test_quartic_bvp_rows(self, N, conjugated):
-        model, u = quartic_bvp(N), np.zeros(N)
+    def test_quartic_bvp_rows(self, N, p, conjugated):
+        # the nested oracle takes about 1.3 s at N = 256 on one core, below 5 s
+        model, u = quartic_bvp(N, p), np.zeros(N)
         if conjugated:
             affine = random_affine_pair(N, np.random.default_rng(22))
             model, u = conjugate(model, affine), affine.gamma_shift
-        assert_rows_match_nested(model, u, make_fibering_pair(model, u), 3)
+        for oracle in ("nested", "probe"):
+            assert_rows_match(model, u, make_fibering_pair(model, u), 3, oracle)
+
+    def test_quadratic_rescaling_on_the_quartic_problem(self):
+        """grad alpha and grad beta of quadratic fields meet the operator
+        T = d/ds F'(x(s)) of the periodic problem's diagonal Jacobian."""
+        N = 64
+        model, u = quartic_bvp(N), np.zeros(N)
+        Q = 0.1 * np.random.default_rng(23).standard_normal((N, N)) / np.sqrt(N)
+        pair = rescale_pair(make_fibering_pair(model, u),
+                            ScaleSpec(1.3, quad=(Q + Q.T) / 2, center=u + 0.01),
+                            ScaleSpec(-0.6, quad=Q @ Q.T, center=u - 0.02))
+        for oracle in ("nested", "probe"):
+            assert_rows_match(model, u, pair, 3, oracle)
+
+    def test_rescaling_composes_over_any_inner_pair(self):
+        """A pair's sweep terms carry the flow's speed relative to its own phi:
+        a quadratic rescaling of a rescaled bordered pair, and of an explicit
+        pair whose terms come from the default probe, give the oracle's rows."""
+        rng = np.random.default_rng(24)
+        Q = 0.1 * rng.standard_normal((5, 5))
+        model = gallery_map("whitney", {"k": 3, "dimZ": 2}).model
+        u = 0.05 * rng.standard_normal(5)
+        inner = rescale_pair(bordered_pair(model, u), ScaleSpec(0.8, quad=Q @ Q.T, center=u),
+                             ScaleSpec(1.7))
+        outer = rescale_pair(inner, ScaleSpec(1.4, quad=(Q + Q.T) / 2, center=u - 0.1),
+                             ScaleSpec(-0.9, quad=Q.T @ Q, center=u + 0.1))
+        assert_rows_match(model, u, outer, 4)
+        w2 = gallery_map("whitney", {"k": 2, "dimZ": 0}).model
+        t, x = (lambda v: jets.comp(v, 0)), (lambda v: jets.comp(v, 1))
+        explicit = ExplicitPair(np.zeros(2), lambda v: jets.stack([x(v) * 0.3 + 1.0, t(v) * 0.5]),
+                                lambda v: jets.stack([t(v) * 0.0 + 1.0, t(v) * x(v) * 0.2]))
+        q = Q[:2, :2]
+        scaled = rescale_pair(explicit, ScaleSpec(1.2, quad=q @ q.T, center=np.zeros(2)),
+                              ScaleSpec(0.7, quad=(q + q.T) / 2, center=np.ones(2)))
+        assert_rows_match(w2, np.array([0.3, -0.2]), scaled, 4)
 
     def test_rescaling_field_scales_each_probe(self):
-        """alpha is one scalar per probe direction: with all n probes in one
-        chunk, phi * alpha must scale each probe's phi, not broadcast the
-        probe axis of alpha against the component axis of phi.  Centred at u,
-        a quadratic rescaling obeys J_3 -> alpha(u)^4 beta(u) J_3 where
-        J_1 = J_2 = 0, as the unbatched nested Lie derivative does."""
+        """Centred at u, a quadratic rescaling obeys J_3 -> alpha(u)^4 beta(u) J_3
+        where J_1 = J_2 = 0, as the unbatched nested Lie derivative does."""
         N = 32
         model, u = quartic_bvp(N), np.zeros(N)
         pair = make_fibering_pair(model, u)
@@ -488,30 +529,26 @@ class TestFlowRows:
                               ScaleSpec(-1.5, quad=Q @ Q.T / N, center=u))
         pf = PointFunctionals(model, scaled, u)
         j3 = pf.J(3)
-        assert len(pf._flow) == 1
         assert j3 == pytest.approx(0.7**4 * -1.5 * PointFunctionals(model, pair, u).J(3), rel=1e-9)
         assert j3 == pytest.approx(lie_J(pf, 3), rel=1e-9)
 
-    def test_deep_row_first_equals_rows_in_order(self, monkeypatch):
-        # a probe Jacobian is a dense jet per probe, so N = 48 takes several chunks;
-        # the jac's D + diag(d) takes n floats per probe, so a smaller budget splits it
+    def test_deep_row_first_equals_rows_in_order(self):
+        # without its jac the model's flow Jacobian is the dense probe Jacobian jet
         probe = dataclasses.replace(quartic_bvp(48), jac=None)
-        for model, budget in ((probe, fibering._ROW_BATCH_BUDGET), (quartic_bvp(48), 1 << 12)):
-            monkeypatch.setattr(fibering, "_ROW_BATCH_BUDGET", budget)
+        for model in (probe, quartic_bvp(48)):
             pair = make_fibering_pair(model, np.zeros(48))
             first = PointFunctionals(model, pair, np.zeros(48))
             in_order = PointFunctionals(model, pair, np.zeros(48))
             deep = first.row(4)
-            assert len(first._flow) > 1
             rows = [in_order.row(k) for k in range(1, 5)]
             np.testing.assert_array_equal(deep, rows[3])
             for k in range(1, 4):
                 np.testing.assert_array_equal(first.row(k), rows[k - 1])
 
     @pytest.mark.parametrize("conjugated", [False, True], ids=["plain", "conjugated"])
-    def test_chunk_jacobians_fit_the_budget(self, conjugated, monkeypatch):
+    def test_flow_jacobians_have_no_probe_axis(self, conjugated, monkeypatch):
         # conjugate keeps the jac's operator, D + diag(d) between delta and gamma^-1,
-        # so a conjugated problem is chunked by n floats per probe, as the plain one is
+        # so a conjugated problem's flow Jacobian is n floats per coefficient too
         sizes, jacobian = [], jets.jacobian
 
         def recording(model, x):
@@ -528,29 +565,25 @@ class TestFlowRows:
             model, u = conjugate(model, affine), affine.gamma_shift
         pf = PointFunctionals(model, make_fibering_pair(model, u), u)
         pf.row(3)
-        per_probe, deepest = N, min(model.d - 1, N + 1)
-        chunk = fibering._ROW_BATCH_BUDGET // (per_probe * 2 * deepest)
-        assert len(pf._flow) == -(-N // chunk)
-        assert len(sizes) == 3 * len(pf._flow)
-        assert max(sizes) <= fibering._ROW_BATCH_BUDGET
+        assert sizes == [N * (k + 1) for k in (1, 2, 3)]  # row k: x exact through s^k
 
-    def test_each_row_costs_one_jacobian_and_one_solve_per_chunk(self, monkeypatch):
+    def test_each_row_costs_one_jacobian_and_one_lu_solve(self, monkeypatch):
         counts = {"jacobian": 0, "solve": 0}
-        jacobian, solve = jets.jacobian, linalg.bordered_solve
+        jacobian, solve = jets.jacobian, linalg.lu_solve
 
         def counted_jacobian(model, x):
             counts["jacobian"] += isinstance(x, jets.Jet)
             return jacobian(model, x)
 
-        def counted_solve(A, *args, **kwargs):
-            counts["solve"] += isinstance(A, jets.Jet)
-            return solve(A, *args, **kwargs)
+        def counted_solve(*args, **kwargs):
+            counts["solve"] += 1
+            return solve(*args, **kwargs)
 
-        monkeypatch.setattr(jets, "jacobian", counted_jacobian)
-        monkeypatch.setattr(linalg, "bordered_solve", counted_solve)
-        model = gallery_map("whitney", {"k": 6, "dimZ": 0}).model  # n = 6: one probe chunk
+        model = gallery_map("whitney", {"k": 6, "dimZ": 0}).model
         u = np.zeros(model.n)
         pf = PointFunctionals(model, make_fibering_pair(model, u), u)
+        monkeypatch.setattr(jets, "jacobian", counted_jacobian)
+        monkeypatch.setattr(linalg, "lu_solve", counted_solve)
         for k in range(1, 7):
             pf.row(k)
         assert counts == {"jacobian": 6, "solve": 6}

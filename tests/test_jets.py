@@ -418,6 +418,31 @@ class TestPolynomialExactness:
                     assert np.linalg.norm(ders[order] - fd) / scale < 1e-5
 
 
+class TestDerivativeAndSeries:
+    """``jets.derivative`` in one variable, of a jet and of the Jacobian
+    operator, and ``jets.series``, which builds a jet from its coefficients."""
+
+    def test_derivative_of_a_polynomial_is_exact(self):
+        got = jets.derivative(jet1([5.0, 3.0, -2.0, 7.0]) * np.array([1.0, 2.0]))
+        assert (got.vars, got.orders, got.value_shape) == (("s",), (2,), (2,))
+        np.testing.assert_array_equal(got.coeffs, np.outer([1.0, 2.0], [3.0, -4.0, 21.0]))
+
+    def test_derivative_of_the_operator_matches_its_dense_fill(self):
+        rng = np.random.default_rng(31)
+        op = rng.standard_normal((3, 3)) @ jets.add_diag(
+            rng.standard_normal((3, 3)), Jet(("s",), (3,), rng.standard_normal((3, 4))))
+        got, want = jets.derivative(op), jets.derivative(dense_jacobian(op))
+        assert isinstance(got, jets.MatrixPlusDiag) and got.orders == (2,)
+        np.testing.assert_allclose(dense_jacobian(got).coeffs, want.coeffs, rtol=1e-13, atol=1e-13)
+
+    def test_series_round_trips_through_extract(self):
+        coeffs = [np.arange(6.0).reshape(2, 3) * j for j in range(4)]
+        x = jets.series(coeffs, "s")
+        assert (x.vars, x.orders, x.value_shape) == (("s",), (3,), (2, 3))
+        for j, c in enumerate(coeffs):
+            np.testing.assert_array_equal(x.extract({"s": j}), c)
+
+
 class TestExtend:
     """A jet's context is extended by ``jets.constant`` of the jet: the new
     variables follow its own, and its coefficients sit at their degree zero."""

@@ -225,3 +225,31 @@ class TestBorderedSolve:
             xi, si = bordered(Jet((name,), (2,), co[i]), b, c, trans=trans)
             np.testing.assert_array_equal(x.coeffs[i], xi.coeffs)
             np.testing.assert_array_equal(s.coeffs[i], si.coeffs)
+
+
+class TestExtendInverse:
+    """``extend_inverse``: the Taylor coefficients of the bordered matrix's
+    inverse along s, one degree per call, for a jet and an operator A(s)."""
+
+    @pytest.mark.parametrize("operator", [False, True], ids=["jet", "operator"])
+    def test_coefficients_invert_the_bordered_series(self, operator):
+        rng = np.random.default_rng(29)
+        n, K = 4, 3
+        A0 = rng.standard_normal((n, n)) + n * np.eye(n)
+        b, c = rng.standard_normal(n), rng.standard_normal(n)
+        d = Jet(("s",), (K,), rng.standard_normal((n, K + 1)))
+        A = jets.add_diag(A0, d) if operator else constant(A0, ("s",), (K,)) + (
+            unit(("s",), (K,), "s") * rng.standard_normal((n, n)))
+        M = [np.zeros((n + 1, n + 1)) for _ in range(K + 1)]  # M(s) = sum_j M_j s^j
+        cols = jets.matvec(A, constant(np.eye(n), ("s",), (K,)))  # [i, r]: A(s)[r, i]
+        for j in range(K + 1):
+            M[j][:n, :n] = cols.extract({"s": j}).T
+        M[0][:n, n], M[0][n, :n] = b, c
+        lu, W = linalg.border_factor(M[0][:n, :n], b, c), []
+        for _ in range(K + 1):
+            linalg.extend_inverse(lu, A, W)
+        scale = max(np.abs(m).max() for m in M) * max(np.abs(w).max() for w in W)
+        for j in range(K + 1):  # [s^j] M(s) W(s) = identity at j = 0, zero above
+            prod = sum(M[i] @ W[j - i] for i in range(j + 1))
+            np.testing.assert_allclose(prod, np.eye(n + 1) * (j == 0), atol=1e-14 * scale)
+

@@ -34,3 +34,5 @@ def test_conjugation_scaling_runs():
     assert [row[:3] for row in rows[:2]] == [["32", "plain", "KSingularity(3)"],
                                             ["32", "conjugated", "KSingularity(3)"]]
     assert rows[2][:2] == ["32", "ratio"]
+    assert rows[3][:3] == ["32", "ls", "KSingularity(3)"]
+    assert rows[4][:2] == ["32", "fibering/ls"]
