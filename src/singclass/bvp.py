@@ -57,16 +57,15 @@ def running_integral_samples(terms, t: np.ndarray) -> np.ndarray:
 
 def differentiation_matrix(N: int, scheme: str = "spectral") -> np.ndarray:
     """Periodic differentiation matrix on the grid t_i = i/N of [0, 1)."""
-    D = np.zeros((N, N))
     idx = np.arange(N)
-    if scheme == "spectral":
-        off = idx[:, None] - idx[None, :]
+    if scheme == "spectral":  # D[i, j] = f[i - j + N - 1], one entry of f per offset
+        off, trig = np.arange(1 - N, N), (np.tan if N % 2 == 0 else np.sin)
         sign = 1.0 - 2.0 * (off % 2)
-        trig = np.tan if N % 2 == 0 else np.sin
-        np.divide(np.pi * sign, trig(np.pi * off / N), out=D, where=off != 0)
+        f = np.divide(np.pi * sign, trig(np.pi * off / N), out=np.zeros(2 * N - 1), where=off != 0)
+        D = f[idx[:, None] - idx + N - 1]
         nyquist_scale = np.pi * N
     elif scheme == "periodic_finite_difference":
-        h = 1.0 / N
+        D, h = np.zeros((N, N)), 1.0 / N
         D[idx, (idx + 1) % N] = 1.0 / (2 * h)
         D[idx, (idx - 1) % N] = -1.0 / (2 * h)
         nyquist_scale = float(N)

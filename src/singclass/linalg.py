@@ -1,20 +1,24 @@
 """Dense small-matrix numerics, and every SVD the package takes: the one
 decision rule ``negligible``, ranks, null spaces, a map's linearization at a
-point (rank, range and last singular pair from one SVD), and bordered solves
-against one factored constant-term matrix (a jet matrix adds its nilpotent part)."""
+point (rank from a values-only SVD, null pair from one LU), and bordered
+solves against one factored constant-term matrix (a jet matrix adds its nilpotent part)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from . import jets
 from .errors import NonFiniteMatrix, SingularBorder
 from .jets import Jet
 
 DEFAULT_RANK_TOL = 1e-8
+_GETRF, _GETRS, _TRTRS = get_lapack_funcs(("getrf", "getrs", "trtrs"), dtype=np.float64)
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -58,28 +62,26 @@ def null_space(rows: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> tuple[int, np
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    """Flip each column so its largest-magnitude entry is positive.
-
-    SVD leaves the sign of each singular vector free; fixing it makes the
-    kernel and cokernel vectors reproducible across runs.
-    """
+    """Flip each column so its largest-magnitude entry is positive: the sign an SVD
+    or an inverse iteration leaves free, fixed so kernel and cokernel vectors are reproducible."""
     lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
     return vecs * np.where(lead < 0, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
 class Linearization:
-    """F'(u) at one point and what both routes read off it, all from one SVD
-    ``A = U diag(sigma) V^T``: the rank, the range basis ``U[:, :rank]``, and
-    the sign-fixed last columns of U and V, which at kdim = 1 are the
-    cokernel and kernel vectors."""
+    """F'(u) at one point and what both routes read off it: sigma and the rank
+    from one values-only SVD.  At kdim = 1 the sign-fixed (w, c) come from one LU
+    (pivots floored at eps * sigma_1 as in LAPACK xLAEIN, a U-only start against
+    ones, two-solve steps that take c to eps at (sigma_n / sigma_{n-1})^2 each, then
+    w = A^{-T} c) and the range basis from the reflector H w = -+e_0.  For n = 1, a
+    gap needing over four steps, or kdim != 1, both come from the full SVD on first read."""
 
     u: np.ndarray | None
     A: np.ndarray
     singular_values: np.ndarray
     rank: int
-    range_basis: np.ndarray   # n x rank
-    last_pair: tuple          # (last column of U, last column of V)
+    _lu_pair: tuple | None
 
     @property
     def kdim(self) -> int:
@@ -91,15 +93,46 @@ class Linearization:
         n = A.shape[0]
         if A.shape != (n, n):
             raise ValueError("a linearization needs a square matrix")
-        U, sv, Vt = np.linalg.svd(_finite(A, "F'(u)"))
+        sv = np.linalg.svd(_finite(A, "F'(u)"), compute_uv=False)
         rank = _numerical_rank(sv, tol)
-        return cls(u, A, sv, rank, U[:, :rank],
-                   (_fix_signs(U[:, -1:])[:, 0], _fix_signs(Vt[-1:].T)[:, 0]))
+        if rank != n - 1 or n == 1 or sv[-1] > sv[-2] * _EPS ** 0.125:  # over four steps
+            return cls(u, A, sv, rank, None)
+        lu, piv, _ = _GETRF(A)
+        lu.flat[:: n + 1] = np.where(abs(lu.diagonal()) < _EPS * sv[0], _EPS * sv[0], lu.diagonal())
+        unit = lambda x: x / np.sqrt(x @ x)
+        c = unit(_TRTRS(lu, np.ones(n))[0])
+        for _ in range(math.ceil(math.log(_EPS) / (2 * math.log(sv[-1] / sv[-2]))) if sv[-1] else 1):
+            c = unit(_GETRS(lu, piv, unit(_GETRS(lu, piv, c, trans=1)[0]))[0])
+        w = unit(_GETRS(lu, piv, c, trans=1)[0])
+        return cls(u, A, sv, rank, tuple(_fix_signs(np.column_stack([w, c])).T.copy()))
+
+    @cached_property
+    def _full_svd(self) -> tuple:  # (last pair, range basis) off A = U diag(sigma) V^T
+        U, _, Vt = np.linalg.svd(self.A)
+        return (_fix_signs(U[:, -1:])[:, 0], _fix_signs(Vt[-1:].T)[:, 0]), U[:, : self.rank]
+
+    @property
+    def last_pair(self) -> tuple:
+        """(w, c): the sign-fixed last left and right singular vectors."""
+        return self._lu_pair or self._full_svd[0]
+
+    @property
+    def range_basis(self) -> np.ndarray:
+        """n x rank orthonormal basis Q of the range: H[:, 1:] with the LU pair."""
+        return self.range_rows(np.eye(len(self.A))).T
+
+    def range_rows(self, M: np.ndarray) -> np.ndarray:
+        """Q^T M; with the LU pair the rank-one update (H M)[1:], no matrix product."""
+        if self._lu_pair is None:
+            return self._full_svd[1].T @ M
+        w = self._lu_pair[0]
+        v = w + np.copysign(np.eye(1, len(w))[0], w[0])  # H = I - 2 v v^T / (v^T v)
+        return (M - (2 / (v @ v) * v)[:, None] * (v @ M))[1:]
 
 
 def linearize(model, u, tol: float = DEFAULT_RANK_TOL) -> Linearization:
     """Linearization of a MapModel at the plain point ``u``: one Jacobian and
-    one SVD.  A Linearization passed as ``u`` is returned unchanged."""
+    one values-only SVD.  A Linearization passed as ``u`` is returned unchanged."""
     if isinstance(u, Linearization):
         return u
     u = np.asarray(u, dtype=float)

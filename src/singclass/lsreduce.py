@@ -128,16 +128,14 @@ class LSModel:
 def local_representation(model: MapModel, u0, tol: float = linalg.DEFAULT_RANK_TOL) -> LSModel:
     """Build the local reduction at u0; fails unless u0 is a simple singularity.
 
-    ``u0`` is a plain point or its ``linalg.Linearization``.  With the SVD
-    F'(u0) = U diag(sigma) V^T, c and w are the last columns of V and U and
-    Q = U[:, :n-1], so alpha'(u0) = [c^T; Q^T F'(u0)] has the singular values
+    ``u0`` is a plain point or its ``linalg.Linearization``: c, w and an orthonormal
+    basis Q of w-perp, so alpha'(u0) = [c^T; Q^T F'(u0)] has the singular values
     sigma_1 .. sigma_{n-1} and 1, and its condition number needs no new SVD.
     """
     lin = linalg.linearize(model, u0, tol)
     if lin.kdim != 1:
         raise NotSimple(f"kernel dimension is {lin.kdim}, expected 1")
     w, c = lin.last_pair
-    Q = lin.range_basis
     kept = lin.singular_values[: lin.rank]
     cond = float(np.max(kept, initial=1.0) / np.min(kept, initial=1.0))
     if cond > 1e8:
@@ -147,8 +145,8 @@ def local_representation(model: MapModel, u0, tol: float = linalg.DEFAULT_RANK_T
         F_u0=np.asarray(model(lin.u), dtype=float),
         kernel_vec=c,
         left_null_vec=w,
-        z_rows=np.vstack([np.zeros(lin.u.shape[0]), Q.T]),
-        alpha_lu=lu_factor(np.vstack([c[None, :], Q.T @ lin.A])),
+        z_rows=np.vstack([np.zeros(lin.u.shape[0]), lin.range_basis.T]),
+        alpha_lu=lu_factor(np.vstack([c, lin.range_rows(lin.A)])),
         cond_alpha=cond,
         model=model,
     )

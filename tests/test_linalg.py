@@ -1,10 +1,15 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import classification_table
 
 from singclass import jets, linalg
+from singclass.bvp import PeriodicProblem, make_periodic_bvp
 from singclass.errors import NonFiniteMatrix, SingularBorder
+from singclass.gallery import gallery_map
 from singclass.jets import Jet, constant, unit
 
 
@@ -101,6 +106,103 @@ class TestKernelCokernel:
         lin = linalg.Linearization.of_matrix(np.diag([0.0, 1.0, 2.0]))
         w, c = lin.last_pair
         assert c[0] > 0 and w[0] > 0
+
+    @pytest.mark.parametrize("N", [32, 128, 512])
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_lu_pair_on_the_quartic_problem(self, N, p):
+        model = make_periodic_bvp(PeriodicProblem(N=N, a_terms=((1, 0.0, 1.0),),
+                                                  p_terms=((0, p, 0.0),)))
+        assert_lu_pair_is_the_svd_pair(jets.jacobian(model, np.zeros(N)))
+
+    def test_lu_pair_on_the_gallery_table(self):
+        simple = 0
+        for name, params in classification_table():
+            entry = gallery_map(name, params)
+            for point in (pt for exp in entry.expected for pt in exp.points):
+                A = jets.jacobian(entry.model, np.array(point, dtype=float))
+                if linalg.Linearization.of_matrix(A).kdim == 1:
+                    assert_lu_pair_is_the_svd_pair(A)
+                    simple += 1
+        assert simple >= 40
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_lu_pair_on_rank_deficient_matrices(self, seed, n):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n - 1)) @ rng.standard_normal((n - 1, n))
+        assert_lu_pair_is_the_svd_pair(A)
+
+    @pytest.mark.parametrize("A", [np.diag([0.0, 1.0]), np.diag([0.0, 1.0, 2.0]), np.zeros((1, 1)),
+                                   jets.jacobian(gallery_map("whitney", {"k": 2, "dimZ": 2}).model,
+                                                 np.zeros(4))],
+                             ids=["diag01", "diag012", "zero1x1", "whitney"])
+    def test_lu_pair_with_exact_zero_pivots(self, A):
+        assert_lu_pair_is_the_svd_pair(A)
+
+    @pytest.mark.parametrize("sigma", [5e-4, 1e-6])  # sigma_n / sigma_{n-1} = 1e-5 and 5e-3
+    def test_lu_pair_at_a_gap_that_takes_several_steps(self, sigma):
+        assert_lu_pair_is_the_svd_pair(with_singular_values([1.0, 0.5, sigma, 5e-9], seed=11))
+
+    def test_small_gap_reads_the_full_svd(self):
+        """sigma_n / sigma_{n-1} = 0.2 needs more inverse-iteration steps than
+        one SVD costs: the vectors are the full SVD's, bit for bit."""
+        A = with_singular_values([1.0, 0.5, 4e-8, 8e-9], seed=11)
+        lin = linalg.Linearization.of_matrix(A)
+        assert lin.kdim == 1
+        w, c = lin.last_pair
+        w_svd, c_svd, Q_svd = svd_reading(A)
+        assert np.array_equal(w, w_svd) and np.array_equal(c, c_svd)
+        assert np.array_equal(lin.range_basis, Q_svd)
+        assert np.array_equal(lin.range_rows(A), Q_svd.T @ A)
+
+
+def with_singular_values(sv, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    U, V = (np.linalg.qr(rng.standard_normal((len(sv), len(sv))))[0] for _ in range(2))
+    return U @ np.diag(sv) @ V.T
+
+
+@contextmanager
+def square_svd_kinds():
+    """The ``compute_uv`` flag of every SVD taken inside the block."""
+    kinds, svd = [], np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        kinds.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    np.linalg.svd = recording
+    try:
+        yield kinds
+    finally:
+        np.linalg.svd = svd
+
+
+def svd_reading(A):
+    """The full SVD's sign-fixed last left and right singular vectors and
+    its range basis U[:, :n-1]: the oracle for a kdim = 1 linearization."""
+    U, _, Vt = np.linalg.svd(A)
+    lead = lambda v: v * (-1.0 if v[np.argmax(np.abs(v))] < 0 else 1.0)
+    return lead(U[:, -1]), lead(Vt[-1]), U[:, :-1]
+
+
+def assert_lu_pair_is_the_svd_pair(A):
+    """At kdim = 1 the null pair and the range basis need no singular vectors
+    (a 1 x 1 matrix has no sigma_{n-1} and reads the full SVD); the pair is
+    the full SVD's to 1e-12, and Q is an orthonormal basis of w-perp."""
+    n = A.shape[0]
+    with square_svd_kinds() as kinds:
+        lin = linalg.Linearization.of_matrix(A)
+        w, c = lin.last_pair
+        Q = lin.range_basis
+        QtA = lin.range_rows(A)
+    assert lin.kdim == 1 and kinds == ([False] if n > 1 else [False, True])
+    w_svd, c_svd, _ = svd_reading(A)
+    assert 1 - abs(c @ c_svd) <= 1e-12 and 1 - abs(w @ w_svd) <= 1e-12
+    assert Q.shape == (n, n - 1)
+    assert np.abs(Q.T @ Q - np.eye(n - 1)).max(initial=0.0) <= 1e-14
+    assert np.abs(Q.T @ w).max(initial=0.0) <= 1e-14
+    np.testing.assert_allclose(QtA, Q.T @ A, rtol=0, atol=1e-13 * max(1.0, np.abs(A).max()))
 
 
 def bordered(A, b, c, trans=0):
