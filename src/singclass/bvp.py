@@ -180,11 +180,11 @@ def quartic_analytic_oracle(a_terms, p_terms, quadN: int = 256) -> QuarticOracle
 
 def normalized_quartic_pair(model: MapModel, tol: float = linalg.DEFAULT_RANK_TOL):
     """Bordered pair at u = 0 rescaled so phi(0) is the all-ones vector and
-    psi(0) is the quadrature row of the constant-one function."""
+    psi(0) is the quadrature row of the constant-one function; u = 0 is linearized once."""
     N = model.n
-    u0 = np.zeros(N)
-    base = make_fibering_pair(model, u0, tol)
-    pf = PointFunctionals(model, base, u0, tol)
+    lin = linalg.linearize(model, np.zeros(N), tol)
+    base = make_fibering_pair(model, lin, tol)
+    pf = PointFunctionals(model, base, lin, tol)
     phi_scale = 1.0 / float(np.mean(pf.phi0))
     psi_scale = 1.0 / (N * float(np.mean(pf.psi0)))
     return rescale_pair(base, ScaleSpec(phi_scale), ScaleSpec(psi_scale))

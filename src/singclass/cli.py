@@ -346,7 +346,7 @@ def cmd_strata(cfg: AnalysisConfig, h: int, samples: int) -> int:
     return EXIT_INDETERMINATE if member is None else EXIT_OK
 
 
-def _add_report_flags(p: argparse.ArgumentParser) -> None:
+def _add_report_flags(p: argparse.ArgumentParser, *reads: str) -> None:
     p.add_argument("--config", help="analysis config document")
     p.add_argument("--gallery", help="gallery map name")
     p.add_argument("--param", action="append", type=_param, help="gallery parameter key=value")
@@ -355,12 +355,12 @@ def _add_report_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bvp-p", type=_literal, help="p(t) terms")
     p.add_argument("--bvp-scheme", choices=["spectral", "periodic_finite_difference"])
     p.add_argument("--point", type=_csv, help="comma-separated coordinates")
-    p.add_argument("--k-cap", dest="k_cap", type=int)
     p.add_argument("--tol-rank", dest="tol_rank", type=float)
     p.add_argument("--tol-zero", dest="tol_zero", type=float)
     p.add_argument("--tol-nonzero", dest="tol_nonzero", type=float)
-    p.add_argument("--route", choices=["fibering", "ls", "both"])
-    p.add_argument("--seed", type=int)
+    for flag in reads:  # --k-cap, --route, --seed: read by some report commands only
+        kind = {"choices": ["fibering", "ls", "both"]} if flag == "--route" else {"type": int}
+        p.add_argument(flag, **kind)
     p.add_argument("--out", help="report output path (default: stdout)")
 
 
@@ -372,7 +372,7 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify one point")
-    _add_report_flags(p)
+    _add_report_flags(p, "--k-cap", "--route", "--seed")  # criterion 9 passes --seed
     p.add_argument("--project", action="store_true",
                    help="Newton-project the point onto the singular set first")
 
@@ -381,14 +381,14 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--machine", action="store_true", help="machine-oriented listing")
 
     p = sub.add_parser("verify", help="run the invariance suite for one problem")
-    _add_report_flags(p)
+    _add_report_flags(p, "--k-cap", "--seed")
     p.add_argument("--trials", type=int, help="random trials per property (default 50)")
 
     p = sub.add_parser("bvp", help="periodic-problem analysis with oracle cross-check")
-    _add_report_flags(p)
+    _add_report_flags(p, "--k-cap", "--route")
 
     p = sub.add_parser("strata", help="singular-set projection and stratum diagnostics")
-    _add_report_flags(p)
+    _add_report_flags(p, "--seed")
     p.add_argument("--stratum-h", type=int, default=1, help="stratum order to test (default 1)")
     p.add_argument("--samples", type=int, default=20, help="sampled singular points (default 20)")
     return parser

@@ -74,8 +74,8 @@ class Linearization:
     from one values-only SVD.  At kdim = 1 the sign-fixed (w, c) come from one LU
     (pivots floored at eps * sigma_1 as in LAPACK xLAEIN, a U-only start against
     ones, two-solve steps that take c to eps at (sigma_n / sigma_{n-1})^2 each, then
-    w = A^{-T} c) and the range basis from the reflector H w = -+e_0.  For n = 1, a
-    gap needing over four steps, or kdim != 1, both come from the full SVD on first read."""
+    w = A^{-T} c); for n = 1, a gap needing over four steps, or kdim != 1, from the
+    full SVD on first read.  Q^T is rows 1.. of the reflector H w = -+e_0 either way."""
 
     u: np.ndarray | None
     A: np.ndarray
@@ -107,27 +107,26 @@ class Linearization:
         return cls(u, A, sv, rank, tuple(_fix_signs(np.column_stack([w, c])).T.copy()))
 
     @cached_property
-    def _full_svd(self) -> tuple:  # (last pair, range basis) off A = U diag(sigma) V^T
+    def _full_svd(self) -> tuple:  # the last pair off A = U diag(sigma) V^T
         U, _, Vt = np.linalg.svd(self.A)
-        return (_fix_signs(U[:, -1:])[:, 0], _fix_signs(Vt[-1:].T)[:, 0]), U[:, : self.rank]
+        return _fix_signs(U[:, -1:])[:, 0], _fix_signs(Vt[-1:].T)[:, 0]
 
     @property
     def last_pair(self) -> tuple:
         """(w, c): the sign-fixed last left and right singular vectors."""
-        return self._lu_pair or self._full_svd[0]
+        return self._lu_pair or self._full_svd
 
-    @property
-    def range_basis(self) -> np.ndarray:
-        """n x rank orthonormal basis Q of the range: H[:, 1:] with the LU pair."""
-        return self.range_rows(np.eye(len(self.A))).T
+    @cached_property
+    def _reflector(self) -> tuple:  # (v, 2 v / (v^T v)): H = I - 2 v v^T / (v^T v), H w = -+e_0
+        w = self.last_pair[0]
+        v = w + np.copysign(np.eye(1, len(w))[0], w[0])
+        return v, 2 / (v @ v) * v
 
     def range_rows(self, M: np.ndarray) -> np.ndarray:
-        """Q^T M; with the LU pair the rank-one update (H M)[1:], no matrix product."""
-        if self._lu_pair is None:
-            return self._full_svd[1].T @ M
-        w = self._lu_pair[0]
-        v = w + np.copysign(np.eye(1, len(w))[0], w[0])  # H = I - 2 v v^T / (v^T v)
-        return (M - (2 / (v @ v) * v)[:, None] * (v @ M))[1:]
+        """Q^T M for Q = H[:, 1:], an orthonormal basis of w-perp (at kdim = 1 the
+        range): the rank-one update (H M)[1:], no matrix product."""
+        v, v2 = self._reflector
+        return (M - v2[:, None] * (v @ M))[1:]
 
 
 def linearize(model, u, tol: float = DEFAULT_RANK_TOL) -> Linearization:

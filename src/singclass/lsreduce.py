@@ -5,9 +5,11 @@ coordinates
 
     alpha(u) = (c.(u - u0), Q^T (F(u) - F(u0)))
 
-(with c a unit kernel vector and Q an orthonormal basis of the range of
-F'(u0)) is a diffeomorphism, and in the new coordinates the map takes the
-form (t, z) |-> (f(t, z), z) with f(0,0) = 0 and vanishing first derivatives.
+(with c the unit kernel vector of F'(u0) and Q^T rows 1.. of the reflector
+H w = -+e_0 of its unit cokernel vector w, so Q is an orthonormal basis of
+the range; c, w and Q are read off F'(u0)'s ``linalg.Linearization``) is a
+diffeomorphism, and in the new coordinates the map takes the form
+(t, z) |-> (f(t, z), z) with f(0,0) = 0 and vanishing first derivatives.
 All classification data can then be read off the partial derivatives of the
 single scalar f, which this module exposes as a jet oracle: jets of
 alpha^{-1} are obtained by degree-by-degree back-substitution against the
@@ -31,11 +33,9 @@ from .model import MapModel
 
 @dataclass
 class LSModel:
-    u0: np.ndarray
+    lin: linalg.Linearization     # F'(u0) at u0 = lin.u, with (w, c) = lin.last_pair
     F_u0: np.ndarray
-    kernel_vec: np.ndarray        # c, unit kernel vector of F'(u0)
-    left_null_vec: np.ndarray     # w, unit left-null vector of F'(u0)
-    z_rows: np.ndarray            # [0; Q^T], Q n x (n-1) an orthonormal basis of w-perp
+    z_rows: np.ndarray            # [0; Q^T] = [0; lin.range_rows(I)], dense
     alpha_lu: object
     cond_alpha: float
     model: MapModel
@@ -49,7 +49,7 @@ class LSModel:
 
     def alpha(self, x):
         """Coordinates (t, z) of a (jet) point x."""
-        t = jets.dot(self.kernel_vec, x - self.u0)
+        t = jets.dot(self.lin.last_pair[1], x - self.lin.u)
         z = jets.matvec(self.z_rows, self.model.eval(x) - self.F_u0)
         return jets.stack([t]) * np.eye(1, self.n)[0] + z
 
@@ -60,14 +60,14 @@ class LSModel:
         terms below the degree being corrected, so sum(orders) passes give the
         exact truncated inverse using only the factored alpha'(u0).
         """
-        x = jets.constant(self.u0, y.vars, y.orders)
+        x = jets.constant(self.lin.u, y.vars, y.orders)
         for _ in range(sum(y.orders)):
             r = y - self.alpha(x)
             x = x + linalg.lu_solve_jet(self.alpha_lu, r)
         return x
 
     def f_value(self, x):
-        return jets.dot(self.left_null_vec, self.model.eval(x) - self.F_u0)
+        return jets.dot(self.lin.last_pair[0], self.model.eval(x) - self.F_u0)
 
     # -- the reduced scalar's jets ---------------------------------------------
 
@@ -110,14 +110,15 @@ class LSModel:
 
         The z-part is one adjoint solve along x(t) = alpha^{-1}(t e_0): the
         gradient lam(t) of f in y = alpha(x) solves alpha'(x)^T lam = F'(x)^T w,
-        with alpha'(x)^T lam = c lam_0 + F'(x)^T z_rows^T lam, and z_j = y_{1+j}.
+        with alpha'(x)^T lam = c lam_0 + F'(x)^T z_rows^T lam (z_rows = [0; Q^T], kept
+        dense so each pass is one mat-vec), and z_j = y_{1+j}.
         """
         out = np.zeros(self.n)
         out[0] = self.J(k)
         if self.n > 1:
             x = self._inverse(k)[0]
             Fp = jets.jacobian(self.model, x)
-            rhs = jets.matvec(jets.transpose_mat(Fp), self.left_null_vec)
+            rhs = jets.matvec(jets.transpose_mat(Fp), self.lin.last_pair[0])
             N, Z = jets.transpose_mat(Fp.nilpotent()), self.z_rows.T
             lam = linalg.solve_passes(
                 self.alpha_lu, rhs, lambda L: jets.matvec(N, jets.matvec(Z, L)), trans=1)
@@ -128,24 +129,22 @@ class LSModel:
 def local_representation(model: MapModel, u0, tol: float = linalg.DEFAULT_RANK_TOL) -> LSModel:
     """Build the local reduction at u0; fails unless u0 is a simple singularity.
 
-    ``u0`` is a plain point or its ``linalg.Linearization``: c, w and an orthonormal
-    basis Q of w-perp, so alpha'(u0) = [c^T; Q^T F'(u0)] has the singular values
-    sigma_1 .. sigma_{n-1} and 1, and its condition number needs no new SVD.
+    ``u0`` is a plain point or its ``linalg.Linearization``, which the model keeps
+    and reads c, w and Q^T (``range_rows``) off: alpha'(u0) = [c^T; Q^T F'(u0)] has
+    the singular values sigma_1 .. sigma_{n-1} and 1, so its condition needs no SVD.
     """
     lin = linalg.linearize(model, u0, tol)
     if lin.kdim != 1:
         raise NotSimple(f"kernel dimension is {lin.kdim}, expected 1")
-    w, c = lin.last_pair
+    c = lin.last_pair[1]
     kept = lin.singular_values[: lin.rank]
     cond = float(np.max(kept, initial=1.0) / np.min(kept, initial=1.0))
     if cond > 1e8:
         raise IllConditioned(f"linearized coordinate change has condition {cond:.3e}")
     return LSModel(
-        u0=lin.u,
+        lin=lin,
         F_u0=np.asarray(model(lin.u), dtype=float),
-        kernel_vec=c,
-        left_null_vec=w,
-        z_rows=np.vstack([np.zeros(lin.u.shape[0]), lin.range_basis.T]),
+        z_rows=np.vstack([np.zeros(len(c)), lin.range_rows(np.eye(len(c)))]),
         alpha_lu=lu_factor(np.vstack([c, lin.range_rows(lin.A)])),
         cond_alpha=cond,
         model=model,

@@ -243,6 +243,20 @@ class TestQuarticProblem:
         assert res["I2_scalar"] != pytest.approx(spectral["I2_scalar"], rel=1e-3)
         assert res["stack_singular_values"] != spectral["stack_singular_values"]
 
+    def test_cross_check_takes_two_plain_jacobians(self, monkeypatch):
+        """``normalized_quartic_pair`` linearizes u = 0 once for the pair and its
+        scale; the cross check's own functionals take the second Jacobian."""
+        plain, jacobian = [], jets.jacobian
+
+        def counting_jacobian(m, x):
+            if not isinstance(x, jets.Jet):
+                plain.append(x)
+            return jacobian(m, x)
+
+        monkeypatch.setattr(jets, "jacobian", counting_jacobian)
+        quartic_cross_check(A_SIN, P_ONE, N=32)
+        assert len(plain) == 2
+
     def test_row_dependence_in_degenerate_case(self):
         res = quartic_cross_check(A_SIN, (), N=64)
         assert res["sigma3_over_sigma1"] < 1e-6

@@ -472,14 +472,26 @@ class TestUsageErrors:
         """Each subcommand's flag set, read off the parser: a new flag is
         added on purpose, where a command reads it."""
         report = {"config", "gallery", "param", "bvp_n", "bvp_a", "bvp_p", "bvp_scheme", "point",
-                  "k_cap", "tol_rank", "tol_zero", "tol_nonzero", "route", "seed", "out"}
-        expected = {"classify": report | {"project"}, "gallery": {"kind", "machine"},
-                    "verify": report | {"trials"}, "bvp": report,
-                    "strata": report | {"stratum_h", "samples"}}
+                  "tol_rank", "tol_zero", "tol_nonzero", "out"}
+        expected = {"classify": report | {"k_cap", "route", "seed", "project"},
+                    "gallery": {"kind", "machine"},
+                    "verify": report | {"k_cap", "seed", "trials"},
+                    "bvp": report | {"k_cap", "route"},
+                    "strata": report | {"seed", "stratum_h", "samples"}}
         sub, = [a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction)]
         flags = {name: {a.dest for a in p._actions if a.dest != "help"}
                  for name, p in sub.choices.items()}
         assert flags == expected
+
+    @pytest.mark.parametrize("args", [
+        ["bvp", "--bvp-n", "32", "--bvp-a", "[(1, 0.0, 1.0)]", "--seed", "3"],
+        ["verify", "--gallery", "fold_t2", "--trials", "5", "--route", "ls"],
+        ["strata", "--gallery", "fold_t2", "--point", "0.3,0.7", "--route", "ls"],
+        ["strata", "--gallery", "fold_t2", "--point", "0.3,0.7", "--k-cap", "3"],
+    ], ids=["bvp-seed", "verify-route", "strata-route", "strata-k-cap"])
+    def test_flag_a_command_does_not_read_exits_one(self, args, capsys):
+        assert run(args) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestOutOfRangeSettings:

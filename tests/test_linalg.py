@@ -56,6 +56,12 @@ class TestRankDecision:
         assert linalg.rank_decision(scaled).rank == base
 
 
+def with_singular_values(sv, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    U, V = (np.linalg.qr(rng.standard_normal((len(sv), len(sv))))[0] for _ in range(2))
+    return U @ np.diag(sv) @ V.T
+
+
 class TestKernelCokernel:
     def test_diag_with_one_zero(self):
         lin = linalg.Linearization.of_matrix(np.diag([0.0, 1.0]), 1e-9)
@@ -73,8 +79,7 @@ class TestKernelCokernel:
     def test_nonsingular_matrix(self):
         rng = np.random.default_rng(5)
         A = rng.standard_normal((4, 4)) + 4 * np.eye(4)
-        lin = linalg.Linearization.of_matrix(A)
-        assert lin.kdim == 0 and lin.range_basis.shape == (4, 4)
+        assert linalg.Linearization.of_matrix(A).kdim == 0
 
     def test_residual_bounds(self):
         rng = np.random.default_rng(7)
@@ -86,9 +91,8 @@ class TestKernelCokernel:
         w, c = lin.last_pair
         assert np.linalg.norm(A @ c) <= 10 * 1e-9 * norm
         assert np.linalg.norm(w @ A) <= 10 * 1e-9 * norm
-        # the range basis spans the complement of the cokernel
-        np.testing.assert_allclose(lin.range_basis.T @ w, 0.0, atol=1e-12)
-        assert np.linalg.matrix_rank(np.hstack([lin.range_basis, A])) == 3
+        # the reflector basis spans the complement of the cokernel vector
+        np.testing.assert_allclose(lin.range_rows(w[:, None]), 0.0, atol=1e-12)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -100,7 +104,6 @@ class TestKernelCokernel:
         lin = linalg.Linearization.of_matrix(A)
         assert lin.kdim == n - r
         assert [v.shape for v in lin.last_pair] == [(n,), (n,)]
-        assert lin.range_basis.shape == (n, lin.rank)
 
     def test_sign_convention_deterministic(self):
         lin = linalg.Linearization.of_matrix(np.diag([0.0, 1.0, 2.0]))
@@ -143,23 +146,26 @@ class TestKernelCokernel:
     def test_lu_pair_at_a_gap_that_takes_several_steps(self, sigma):
         assert_lu_pair_is_the_svd_pair(with_singular_values([1.0, 0.5, sigma, 5e-9], seed=11))
 
-    def test_small_gap_reads_the_full_svd(self):
+    @pytest.mark.parametrize("A", [with_singular_values([1.0, 0.5, 4e-8, 8e-9], seed=11),
+                                   np.zeros((1, 1))], ids=["gap0.2", "n1"])
+    def test_full_svd_pair_gets_the_reflector_basis(self, A):
         """sigma_n / sigma_{n-1} = 0.2 needs more inverse-iteration steps than
-        one SVD costs: the vectors are the full SVD's, bit for bit."""
-        A = with_singular_values([1.0, 0.5, 4e-8, 8e-9], seed=11)
-        lin = linalg.Linearization.of_matrix(A)
-        assert lin.kdim == 1
-        w, c = lin.last_pair
-        w_svd, c_svd, Q_svd = svd_reading(A)
+        one SVD costs, and a 1 x 1 matrix has no sigma_{n-1}: the pair is the full
+        SVD's, bit for bit, and Q is still rows 1.. of the reflector H w = -+e_0."""
+        n = A.shape[0]
+        with square_svd_kinds() as kinds:
+            lin = linalg.Linearization.of_matrix(A)
+            w, c = lin.last_pair
+            QtA, Qt = lin.range_rows(A), lin.range_rows(np.eye(n))
+        assert lin.kdim == 1 and kinds == [False, True]
+        w_svd, c_svd = svd_pair(A)
         assert np.array_equal(w, w_svd) and np.array_equal(c, c_svd)
-        assert np.array_equal(lin.range_basis, Q_svd)
-        assert np.array_equal(lin.range_rows(A), Q_svd.T @ A)
-
-
-def with_singular_values(sv, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    U, V = (np.linalg.qr(rng.standard_normal((len(sv), len(sv))))[0] for _ in range(2))
-    return U @ np.diag(sv) @ V.T
+        e0 = np.copysign(np.eye(1, n)[0], w[0])
+        v = w + e0
+        H = np.eye(n) - 2 * np.outer(v, v) / (v @ v)
+        assert np.abs(H @ w + e0).max() <= 1e-15
+        np.testing.assert_allclose(Qt, H[1:], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(QtA, H[1:] @ A, rtol=0, atol=1e-15)
 
 
 @contextmanager
@@ -178,12 +184,12 @@ def square_svd_kinds():
         np.linalg.svd = svd
 
 
-def svd_reading(A):
-    """The full SVD's sign-fixed last left and right singular vectors and
-    its range basis U[:, :n-1]: the oracle for a kdim = 1 linearization."""
+def svd_pair(A):
+    """The full SVD's sign-fixed last left and right singular vectors: the
+    oracle for a kdim = 1 linearization's pair."""
     U, _, Vt = np.linalg.svd(A)
     lead = lambda v: v * (-1.0 if v[np.argmax(np.abs(v))] < 0 else 1.0)
-    return lead(U[:, -1]), lead(Vt[-1]), U[:, :-1]
+    return lead(U[:, -1]), lead(Vt[-1])
 
 
 def assert_lu_pair_is_the_svd_pair(A):
@@ -194,10 +200,10 @@ def assert_lu_pair_is_the_svd_pair(A):
     with square_svd_kinds() as kinds:
         lin = linalg.Linearization.of_matrix(A)
         w, c = lin.last_pair
-        Q = lin.range_basis
+        Q = lin.range_rows(np.eye(n)).T
         QtA = lin.range_rows(A)
     assert lin.kdim == 1 and kinds == ([False] if n > 1 else [False, True])
-    w_svd, c_svd, _ = svd_reading(A)
+    w_svd, c_svd = svd_pair(A)
     assert 1 - abs(c @ c_svd) <= 1e-12 and 1 - abs(w @ w_svd) <= 1e-12
     assert Q.shape == (n, n - 1)
     assert np.abs(Q.T @ Q - np.eye(n - 1)).max(initial=0.0) <= 1e-14

@@ -31,7 +31,7 @@ class TestConstruction:
     def test_projectors_idempotent(self):
         model = gallery_map("whitney", {"k": 2, "dimZ": 1}).model
         ls = local_representation(model, np.zeros(3))
-        c, w, Q = ls.kernel_vec, ls.left_null_vec, ls.z_rows[1:].T
+        (w, c), Q = ls.lin.last_pair, ls.z_rows[1:].T
         p, pi = np.outer(c, c), Q @ Q.T
         np.testing.assert_allclose(p @ p, p, atol=1e-10)
         np.testing.assert_allclose(pi @ pi, pi, atol=1e-10)
@@ -47,7 +47,7 @@ class TestConstruction:
             model = gallery_map(name, params).model
             ls = local_representation(model, np.zeros(n))
             A = jets.jacobian(model, np.zeros(n))
-            alpha_prime = np.vstack([ls.kernel_vec[None, :], ls.z_rows[1:] @ A])
+            alpha_prime = np.vstack([ls.lin.last_pair[1], ls.z_rows[1:] @ A])
             assert ls.cond_alpha == pytest.approx(np.linalg.cond(alpha_prime), rel=1e-12)
 
     def test_base_value_and_gradient_vanish(self):
@@ -122,8 +122,7 @@ class TestReducedScalar:
                 got = float(arr[zdir]) * math.factorial(torder)
             assert abs(abs(got) - abs(expect)) < 1e-8
         # sign consistency: one scalar per coordinate relates all coefficients
-        s_t = np.sign(ls.kernel_vec[0])
-        s_tau = np.sign(ls.left_null_vec[0])
+        s_tau, s_t = (np.sign(v[0]) for v in ls.lin.last_pair)
         got = ls.f_partial_t(4)
         assert np.sign(got) == np.sign(24.0 * s_t**4 * s_tau)
 
