@@ -260,8 +260,8 @@ class PointFunctionals:
         _, _, q, adjoint = self.pair.flow_terms(self.model, self._x, self._Fp, extend)
         bar = [q.extract({s: K - j}) for j in range(K + 1)]  # xibar_j before the sum
         for j in range(K - 1, -1, -1):
-            H = [bar[p] / p for p in range(K, j, -1)] + [0 * bar[0]] * (j + 1)
-            bar[j] = bar[j] + adjoint(jets.series(H, s)).extract({s: K - 1 - j})
+            H = jets.at_order(jets.series([bar[p] / p for p in range(K, j, -1)], s), s, K)
+            bar[j] = bar[j] + adjoint(H).extract({s: K - 1 - j})
         self._rows[K + 1] = bar[0] * math.factorial(K)
 
 

@@ -296,6 +296,15 @@ def integrate(x: Jet, name: str, order: int) -> Jet:
     return Jet(x.vars, orders, np.moveaxis(out, -1, x.value_ndim + i))
 
 
+def at_order(x: Jet, name: str, order: int) -> Jet:
+    """The same series at order ``order`` in ``name``: truncated or zero-padded."""
+    i = x.value_ndim + x.vars.index(name)
+    kept = x.coeffs[(slice(None),) * i + (slice(order + 1),)]
+    out = np.zeros(kept.shape[:i] + (order + 1,) + kept.shape[i + 1 :])
+    out[(slice(None),) * i + (slice(kept.shape[i]),)] = kept
+    return Jet(x.vars, [order if v == name else o for v, o in zip(x.vars, x.orders)], out)
+
+
 def derivative(x: "Jet | MatrixPlusDiag") -> "Jet | MatrixPlusDiag":
     """d/ds of a jet or ``MatrixPlusDiag`` in one variable s, one order lower."""
     if isinstance(x, MatrixPlusDiag):  # the constant A drops out

@@ -159,14 +159,16 @@ def border_factor(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = DEFA
     return lu_factor(M0)
 
 
-def solve_passes(lu_piv, R: Jet, nil_apply, trans: int = 0) -> Jet:
+def solve_passes(lu_piv, R: Jet, nil_apply, trans: int = 0, start: Jet | None = None) -> Jet:
     """Solution X of (M0 + N) X = R, or with ``trans=1`` of the transposed
     system, for a jet R: ``lu_piv`` factors the constant matrix M0 and
     ``nil_apply(X)`` is the jet N X (N^T X with ``trans=1``) for a nilpotent
     N.  Each pass X <- M0^{-1} (R - N X) fixes one more total degree, so
-    ``sum(orders)`` passes give the exact truncated solution."""
-    X = lu_solve_jet(lu_piv, R, trans=trans)
-    for _ in range(sum(R.orders)):
+    ``sum(orders)`` passes after X = M0^{-1} R give the exact truncated solution;
+    a ``start`` solved at a lower order of R's one variable needs only those above it."""
+    X = lu_solve_jet(lu_piv, R, trans=trans) if start is None else jets.at_order(
+        start, R.vars[0], R.orders[0])
+    for _ in range(sum(R.orders) - (0 if start is None else start.orders[0])):
         X = lu_solve_jet(lu_piv, R - nil_apply(X), trans=trans)
     return X
 
@@ -178,7 +180,7 @@ def extend_inverse(lu_piv, A, W: list) -> None:
     n, rhs = len(lu_piv[0]) - 1, np.eye(len(lu_piv[0]))
     if W:  # [s^K] of (A(s) - A_0) W(s) reads W_0 .. W_{K-1} alone
         s, K = A.vars[0], len(W)
-        cols = jets.transpose_mat(jets.series(W + [0 * W[0]] * (A.orders[0] + 1 - K), s))[:n]
+        cols = jets.transpose_mat(jets.at_order(jets.series(W, s), s, A.orders[0]))[:n]
         rhs = np.vstack([-jets.matvec(A.nilpotent(), cols).extract({s: K}).T, np.zeros(n + 1)])
     W.append(lu_solve(lu_piv, rhs))
 

@@ -12,8 +12,8 @@ diffeomorphism, and in the new coordinates the map takes the form
 (t, z) |-> (f(t, z), z) with f(0,0) = 0 and vanishing first derivatives.
 All classification data can then be read off the partial derivatives of the
 single scalar f, which this module exposes as a jet oracle: jets of
-alpha^{-1} are obtained by degree-by-degree back-substitution against the
-one factored linearization alpha'(u0).
+alpha^{-1} come from degree-by-degree back-substitution against the one
+factored alpha'(u0), and the series in t alone grow one degree per pass.
 """
 
 from __future__ import annotations
@@ -39,7 +39,9 @@ class LSModel:
     alpha_lu: object
     cond_alpha: float
     model: MapModel
-    _cache: dict = field(default_factory=dict, repr=False)
+    _t: str = field(default_factory=lambda: jets.fresh_name("t"), repr=False)
+    _series: tuple = field(default=(None, None), repr=False)  # (x(t), f(x(t))), highest order asked
+    _lam: Jet | None = field(default=None, repr=False)        # row's adjoint lam(t), likewise
 
     @property
     def n(self) -> int:
@@ -53,17 +55,18 @@ class LSModel:
         z = jets.matvec(self.z_rows, self.model.eval(x) - self.F_u0)
         return jets.stack([t]) * np.eye(1, self.n)[0] + z
 
-    def alpha_inverse_jet(self, y: Jet) -> Jet:
+    def alpha_inverse_jet(self, y: Jet, start: Jet | None = None) -> Jet:
         """x with alpha(x) = y, for a jet y whose constant term is 0.
 
         One pass per total degree: the residual of the current iterate has no
-        terms below the degree being corrected, so sum(orders) passes give the
-        exact truncated inverse using only the factored alpha'(u0).
+        terms below the degree being corrected, so sum(orders) passes from u0
+        give the exact truncated inverse using only the factored alpha'(u0); a
+        ``start`` solved at a lower order of y's one variable needs only those above it.
         """
-        x = jets.constant(self.lin.u, y.vars, y.orders)
-        for _ in range(sum(y.orders)):
-            r = y - self.alpha(x)
-            x = x + linalg.lu_solve_jet(self.alpha_lu, r)
+        x = jets.constant(self.lin.u, y.vars, y.orders) if start is None else jets.at_order(
+            start, y.vars[0], y.orders[0])
+        for _ in range(sum(y.orders) - (0 if start is None else start.orders[0])):
+            x = x + linalg.lu_solve_jet(self.alpha_lu, y - self.alpha(x))
         return x
 
     def f_value(self, x):
@@ -80,24 +83,24 @@ class LSModel:
 
     def _inverse(self, t_order: int, z_dirs: tuple[int, ...] = ()) -> tuple[Jet, Jet]:
         """x = alpha^{-1}(y) and f(x) for y = t e_0 + z e_{1+j}, batched over
-        the j in ``z_dirs``; cached, so J and row share the t-only inverse."""
-        key = (t_order, z_dirs)
-        if key in self._cache:
-            return self._cache[key]
-        names = (jets.fresh_name("t"),) + ((jets.fresh_name("z"),) if z_dirs else ())
-        orders = (t_order, 1)[: len(names)]
-        y = jets.unit(names, orders, names[0]) * np.eye(1, self.n)[0]
+        the j in ``z_dirs`` and solved afresh.  The t-only pair, which J and
+        row share, is kept at the highest order asked: a higher order extends
+        it by one pass per new degree, a lower one truncates it."""
+        t, e0 = self._t, np.eye(1, self.n)[0]
         if z_dirs:
-            y = y + jets.unit(names, orders, names[1]) * np.eye(self.n)[[1 + j for j in z_dirs]]
-        x = self.alpha_inverse_jet(y)
-        self._cache[key] = (x, self.f_value(x))
-        return self._cache[key]
+            names, orders = (t, jets.fresh_name("z")), (t_order, 1)
+            x = self.alpha_inverse_jet(jets.unit(names, orders, t) * e0 + jets.unit(
+                names, orders, names[1]) * np.eye(self.n)[[1 + j for j in z_dirs]])
+            return x, self.f_value(x)
+        if self._series[0] is None or self._series[0].orders[0] < t_order:
+            x = self.alpha_inverse_jet(jets.unit((t,), (t_order,), t) * e0, self._series[0])
+            self._series = (x, self.f_value(x))
+        return tuple(s if s.orders[0] == t_order else jets.at_order(s, t, t_order)
+                     for s in self._series)
 
     def f_partial_t(self, order: int) -> float:
         """d^order f / dt^order at (0,0)."""
-        j = self.f_jet(max(order, 1))
-        tname = j.vars[0]
-        return float(j.extract({tname: order})) * math.factorial(order)
+        return float(self.f_jet(max(order, 1)).extract({self._t: order})) * math.factorial(order)
 
     # -- the route functionals, read by the decision loop ---------------------
 
@@ -111,18 +114,19 @@ class LSModel:
         The z-part is one adjoint solve along x(t) = alpha^{-1}(t e_0): the
         gradient lam(t) of f in y = alpha(x) solves alpha'(x)^T lam = F'(x)^T w,
         with alpha'(x)^T lam = c lam_0 + F'(x)^T z_rows^T lam (z_rows = [0; Q^T], kept
-        dense so each pass is one mat-vec), and z_j = y_{1+j}.
+        dense so each pass is one mat-vec), and z_j = y_{1+j}.  A higher k
+        resumes the solve from the kept lam, one pass per new degree.
         """
         out = np.zeros(self.n)
         out[0] = self.J(k)
         if self.n > 1:
-            x = self._inverse(k)[0]
-            Fp = jets.jacobian(self.model, x)
-            rhs = jets.matvec(jets.transpose_mat(Fp), self.lin.last_pair[0])
-            N, Z = jets.transpose_mat(Fp.nilpotent()), self.z_rows.T
-            lam = linalg.solve_passes(
-                self.alpha_lu, rhs, lambda L: jets.matvec(N, jets.matvec(Z, L)), trans=1)
-            out[1:] = lam.extract({x.vars[0]: k})[1:] * math.factorial(k)
+            if self._lam is None or self._lam.orders[0] < k:
+                Fp = jets.jacobian(self.model, self._inverse(k)[0])
+                rhs = jets.matvec(jets.transpose_mat(Fp), self.lin.last_pair[0])
+                N, Z = jets.transpose_mat(Fp.nilpotent()), self.z_rows.T
+                self._lam = linalg.solve_passes(self.alpha_lu, rhs, lambda L: jets.matvec(
+                    N, jets.matvec(Z, L)), trans=1, start=self._lam)
+            out[1:] = self._lam.extract({self._t: k})[1:] * math.factorial(k)
         return out
 
 

@@ -503,6 +503,26 @@ class TestIntegrate:
         assert not got.extract({"w": 0}).coeffs.any() and not got.extract({"w": 2}).coeffs.any()
 
 
+class TestAtOrder:
+    """``jets.at_order``: the same series at another order in one variable."""
+
+    def test_truncation_and_zero_padding_in_one_variable(self):
+        rng = np.random.default_rng(13)
+        x = Jet(("a", "s", "b"), (2, 3, 1), rng.standard_normal((2, 3, 3, 4, 2)))
+        for order in (0, 2, 3, 6):
+            got = jets.at_order(x, "s", order)
+            assert (got.vars, got.orders, got.value_shape) == (("a", "s", "b"), (2, order, 1), (2, 3))
+            for j in range(order + 1):
+                want = x.extract({"s": j}).coeffs if j <= 3 else np.zeros((2, 3, 3, 2))
+                np.testing.assert_array_equal(got.extract({"s": j}).coeffs, want)
+
+    def test_padding_then_truncating_returns_the_series(self):
+        x = jet1([1.0, -2.0, 3.0]) * np.array([1.0, 0.5])
+        back = jets.at_order(jets.at_order(x, "s", 5), "s", 2)
+        assert back.orders == (2,)
+        np.testing.assert_array_equal(back.coeffs, x.coeffs)
+
+
 class TestEvalCommutesWithTruncation:
     def test_truncate_after_eval(self):
         model = gallery_map("whitney", {"k": 2, "dimZ": 0}).model

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from singclass import jets
+from singclass import jets, linalg
 from singclass.bvp import PeriodicProblem, make_periodic_bvp
 from singclass.classify import classify_point
-from singclass.errors import NotSimple
+from singclass.errors import NotSimple, OrderExceedsSmoothness
 from singclass.gallery import gallery_map
-from singclass.lsreduce import local_representation
-from singclass.model import conjugate, random_affine_pair
+from singclass.lsreduce import LSModel, local_representation
+from singclass.model import MapModel, conjugate, random_affine_pair
 
 
 def gradient_norm(ls):
@@ -240,3 +240,135 @@ def test_ill_conditioned_linearization_rejected():
     squeezed = MapModel(3, SMOOTH, ev, "squeezed")
     with pytest.raises(IllConditioned):
         local_representation(squeezed, np.zeros(3), tol=1e-12)
+
+
+def _whitney(k: int, dimz: int):
+    return gallery_map("whitney", {"k": k, "dimZ": dimz}).model, np.zeros(k + dimz)
+
+
+def _conjugated_whitney():
+    model = gallery_map("whitney", {"k": 3, "dimZ": 0}).model
+    pair = random_affine_pair(model.n, np.random.default_rng(5))
+    return conjugate(model, pair), pair.apply_gamma(np.zeros(model.n))
+
+
+def _quartic(p: float):
+    problem = PeriodicProblem(N=32, a_terms=((1, 0.0, 1.0),), p_terms=((0, p, 0.0),))
+    return make_periodic_bvp(problem), np.zeros(32)
+
+
+SERIES_MAPS = {
+    **{f"whitney_k{k}_dimZ{d}": (lambda k=k, d=d: _whitney(k, d)) for k in range(1, 6) for d in (0, 2)},
+    "whitney_k3_conjugated": _conjugated_whitney,
+    "quartic_p0": lambda: _quartic(0.0),
+    "quartic_p1": lambda: _quartic(1.0),
+}
+
+
+def _inverse_from_scratch(ls, order: int):
+    """x(t) = alpha^{-1}(t e_0) by ``sum(orders)`` passes from the constant u0."""
+    t = jets.fresh_name("t")
+    return ls.alpha_inverse_jet(jets.unit((t,), (order,), t) * np.eye(1, ls.n)[0])
+
+
+def _adjoint_from_scratch(ls, x):
+    """row's adjoint lam(t) along x(t), solved without a start."""
+    Fp = jets.jacobian(ls.model, x)
+    rhs = jets.matvec(jets.transpose_mat(Fp), ls.lin.last_pair[0])
+    N, Z = jets.transpose_mat(Fp.nilpotent()), ls.z_rows.T
+    return linalg.solve_passes(ls.alpha_lu, rhs, lambda L: jets.matvec(N, jets.matvec(Z, L)), trans=1)
+
+
+def _assert_same_series(grown, oracle, order: int, per_degree: bool = True):
+    """Every coefficient agrees to 1e-13 of its degree's largest coefficient
+    or, for f(x(t)), whose low degrees vanish in exact arithmetic and carry
+    rounding noise, to 1e-13 of max(1, the series' largest coefficient)."""
+    (g,), (o,) = grown.vars, oracle.vars
+    assert grown.orders == oracle.orders == (order,)
+    got = [np.atleast_1d(grown.extract({g: deg})) for deg in range(order + 1)]
+    want = [np.atleast_1d(oracle.extract({o: deg})) for deg in range(order + 1)]
+    top = max(1.0, *(np.max(np.abs(b)) for b in want))
+    for deg, (a, b) in enumerate(zip(got, want)):
+        ref = np.max(np.abs(b)) if per_degree else top
+        assert np.max(np.abs(a - b)) <= 1e-13 * ref, (deg, a, b)
+
+
+class TestSeriesGrowth:
+    """The t-only series of ``LSModel`` grow one degree per pass from the
+    previous order's solution; the oracle solves each order from scratch."""
+
+    @pytest.mark.parametrize("name", sorted(SERIES_MAPS))
+    def test_grown_series_equal_the_from_scratch_solves(self, name):
+        model, u0 = SERIES_MAPS[name]()
+        ls = local_representation(model, u0)
+        for order in range(1, 7):
+            x, f = ls._inverse(order)
+            want = _inverse_from_scratch(ls, order)
+            _assert_same_series(x, want, order)
+            _assert_same_series(f, ls.f_value(want), order, per_degree=False)
+            if ls.n > 1:
+                ls.row(order)
+                _assert_same_series(ls._lam, _adjoint_from_scratch(ls, want), order)
+
+    @pytest.mark.parametrize("name", ["whitney_k1_dimZ0", "whitney_k2_dimZ2", "whitney_k3_conjugated",
+                                      "quartic_p1"])
+    def test_a_lower_order_read_late_equals_a_fresh_model(self, name):
+        model, u0 = SERIES_MAPS[name]()
+        ls = local_representation(model, u0)
+        ls.J(3)
+        late_j1 = ls.J(1)
+        ls.f_partial_t(4)
+        late_f2 = ls.f_partial_t(2)
+        ls.row(4)
+        late_row2 = ls.row(2)
+        fresh = [local_representation(model, u0) for _ in range(3)]
+        assert late_j1 == pytest.approx(fresh[0].J(1), rel=1e-12, abs=1e-13)
+        assert late_f2 == pytest.approx(fresh[1].f_partial_t(2), rel=1e-12, abs=1e-13)
+        np.testing.assert_allclose(late_row2, fresh[2].row(2), rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_passes_grow_linearly_with_the_order(self, k, monkeypatch):
+        """Whitney k at 0 decides at J_k, order k+1 in t: one alpha pass per
+        degree, and the adjoint solve of the rows one pass per new degree
+        (the parent solved every order afresh: (k+1)(k+2)/2 alpha passes)."""
+        counts = {"alpha": 0, "lu_solve_jet": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(LSModel, "alpha", counting("alpha", LSModel.alpha))
+        monkeypatch.setattr(linalg, "lu_solve_jet", counting("lu_solve_jet", linalg.lu_solve_jet))
+        model, u0 = _whitney(k, 0)
+        c = classify_point(model, u0, route="ls")
+        assert (c.kind, c.k) == ("KSingularity", k)
+        assert counts["alpha"] <= k + 2
+        assert counts["lu_solve_jet"] <= 2 * (k + 2)
+
+
+def test_growth_evaluates_no_order_beyond_the_smoothness():
+    """A model of smoothness 4 whose eval raises on any jet of higher total
+    order still classifies as the map it wraps, whitney k=3, on route ls."""
+    inner = gallery_map("whitney", {"k": 3, "dimZ": 0}).model
+    seen = []
+
+    def guarded(x):
+        if isinstance(x, jets.Jet):
+            seen.append(sum(x.orders))
+            if seen[-1] > 4:
+                raise AssertionError(f"evaluated a jet of order {seen[-1]}")
+        return inner.eval(x)
+
+    model = MapModel(inner.n, 4, guarded, "whitney-d4")
+    c = classify_point(model, np.zeros(3), route="ls")
+    assert (c.kind, c.k) == ("KSingularity", 3)
+    assert max(seen) == 4
+    ls = local_representation(model, np.zeros(3))
+    ls.f_jet(4)
+    with pytest.raises(OrderExceedsSmoothness):
+        ls.f_jet(5)
+    with pytest.raises(OrderExceedsSmoothness):
+        ls.f_jet(4, (0,))
+    assert max(seen) == 4
