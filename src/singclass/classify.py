@@ -7,10 +7,10 @@ k-singularity; at k = 0, no singular point), I_{k+1} dependent while J_k
 vanishes (maximal k-transverse; at k = 0, not 1-transverse), or the cap.
 
 Every decision reads ``linalg.negligible``: rank decisions against the
-largest singular value at tol_rank, and zero tests (``Tolerances.zero_states``)
-against the largest |J| seen so far, with a hysteresis band between tol_zero
-and tol_nonzero whose values make the verdict Indeterminate rather than
-silently picking a side.  Both evaluation routes (the pair functionals on the
+largest singular value at tol_rank, and zero tests by its hysteresis form
+``linalg.zero_state`` (``Tolerances.zero_states``) against the largest |J| seen
+so far, with a band between tol_zero and tol_nonzero whose values make the
+verdict Indeterminate rather than silently picking a side.  Both evaluation routes (the pair functionals on the
 original coordinates and the reduced-scalar derivatives) run by default and
 must agree.
 """
@@ -52,13 +52,10 @@ class Tolerances:
             raise ValueError("tol_zero must be strictly below tol_nonzero")
 
     def zero_states(self, values) -> list[str]:
-        """The zero test with hysteresis, each value judged against the
-        largest |value| in ``values``: ``'zero'`` when negligible at ``zero``,
-        ``'nonzero'`` when not negligible at ``nonzero``, ``'band'`` between."""
+        """``linalg.zero_state`` of each value, judged against the largest
+        |value| in ``values``: ``'zero'``, ``'band'`` or ``'nonzero'``."""
         ref = max((abs(v) for v in values), default=0.0)
-        return ["zero" if linalg.negligible(v, ref, self.zero)
-                else "band" if linalg.negligible(v, ref, self.nonzero) else "nonzero"
-                for v in values]
+        return [linalg.zero_state(v, ref, self.zero, self.nonzero) for v in values]
 
 
 @dataclass

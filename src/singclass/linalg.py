@@ -28,9 +28,15 @@ class RankDecision:
 
 
 def negligible(x, ref, tol: float):
-    """The one decision rule, elementwise in x: |x| <= tol * max(1, |ref|); the
-    floor keeps all-zero and tiny-noise inputs negligible."""
+    """The one decision rule, elementwise in x: |x| <= tol * max(1, |ref|); the floor
+    keeps all-zero and tiny-noise inputs negligible, and a relative x passes ref 0."""
     return np.abs(x) <= tol * max(1.0, abs(float(ref)))
+
+
+def zero_state(x, ref, zero: float, nonzero: float) -> str:
+    """The rule with hysteresis: ``'zero'`` when x is negligible at ``zero``,
+    ``'nonzero'`` when not negligible at ``nonzero``, ``'band'`` between."""
+    return "zero" if negligible(x, ref, zero) else "band" if negligible(x, ref, nonzero) else "nonzero"
 
 
 def _finite(M: np.ndarray, name: str) -> np.ndarray:

@@ -143,7 +143,7 @@ def local_representation(model: MapModel, u0, tol: float = linalg.DEFAULT_RANK_T
     c = lin.last_pair[1]
     kept = lin.singular_values[: lin.rank]
     cond = float(np.max(kept, initial=1.0) / np.min(kept, initial=1.0))
-    if cond > 1e8:
+    if linalg.negligible(1 / cond, 0.0, linalg.DEFAULT_RANK_TOL):  # sigma_min / sigma_max
         raise IllConditioned(f"linearized coordinate change has condition {cond:.3e}")
     return LSModel(
         lin=lin,

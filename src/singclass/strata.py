@@ -16,7 +16,7 @@ from .model import MapModel
 
 NEWTON_MAX_ITER = 25
 NEWTON_TARGET = 1e-10  # |J0| at which a Newton iterate counts as singular
-_NEWTON_MIN_CUT = 8.0  # a last step cutting |J0| by less converged linearly: a double zero
+_NEWTON_MIN_CUT = 1 / 8  # a last step leaving more of |J0| converged linearly: a double zero
 SAMPLE_RADIUS = 0.1
 SAMPLE_H_MAX = 3
 
@@ -52,7 +52,7 @@ def project_to_singular(model: MapModel, u_guess, pair: PairBase,
             raise DegenerateGradient("I1 vanishes at the current iterate")
         j0 = pf.J(0)
         if linalg.negligible(j0, 0.0, NEWTON_TARGET):
-            if abs(j0) * _NEWTON_MIN_CUT > abs(j0_prev):
+            if not linalg.negligible(j0 / j0_prev, 0.0, _NEWTON_MIN_CUT):
                 raise DegenerateGradient(f"Newton converged linearly to a double zero of J0: last "
                                          f"step |J0| {abs(j0_prev):.3g} -> {abs(j0):.3g}")
             return u

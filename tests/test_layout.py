@@ -1,7 +1,9 @@
 """The jet coefficient layout is private to ``jets``: other modules work on
 jets through its functions and methods, never on the coefficient array.
-Every zero, rank and regularity decision reads ``linalg.negligible``, every
-SVD is taken in ``linalg`` and every jet-or-array branch sits in ``jets``,
+Every zero, rank and regularity decision reads ``linalg.negligible`` or its
+hysteresis form ``linalg.zero_state``, so ``linalg`` alone holds the floor and
+the band and no comparison in the modules that decide has a threshold
+operand; every SVD is taken in ``linalg``, every jet-or-array branch sits in ``jets``,
 every gallery map but one is built by the one unfolding builder, and every
 fibering pair is bound at a point by ``at`` and read through its two field
 methods."""
@@ -69,6 +71,43 @@ def test_one_decision_rule():
                   for no, line in enumerate(text.splitlines(), 1) if floor.search(line)]
     assert [site for site in sites if site[:2] not in allowed] == []
     assert ("linalg.py", "negligible") in {site[:2] for site in sites}
+
+
+def _is_threshold(node: ast.AST) -> bool:
+    """A tolerance (``tol.<field>``, or ``self.<field>`` inside ``Tolerances``),
+    a ``*_TOL``, ``*TARGET`` or ``_NEWTON_MIN_CUT`` constant, or a float literal."""
+    from singclass.classify import Tolerances
+
+    name = getattr(node, "attr", None) or getattr(node, "id", None) or ""
+    return (isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in ("tol", "self")
+            and name in Tolerances.__dataclass_fields__
+            or name.endswith(("_TOL", "TARGET")) or name == "_NEWTON_MIN_CUT"
+            or isinstance(node, ast.Constant) and isinstance(node.value, float))
+
+
+def test_every_threshold_test_reads_the_rule():
+    """In the modules that decide, no ``<``, ``<=``, ``>`` or ``>=`` has a
+    threshold operand: each such test calls ``linalg.negligible`` or its
+    hysteresis form ``linalg.zero_state`` and names the reference it compares
+    against.  Two kinds of comparison are exempt: a check on input, which is
+    the test of an ``if`` whose body raises ``ValueError``, and a comparison
+    with a random draw (a call on ``rng``), which picks a sample, not a verdict."""
+    hits = []
+    for module in ("classify.py", "strata.py", "lsreduce.py", "verify.py"):
+        tree = ast.parse((SRC / module).read_text())
+        exempt = {id(node) for stmt in ast.walk(tree) if isinstance(stmt, ast.If)
+                  and isinstance(stmt.body[0], ast.Raise)
+                  and ast.unparse(stmt.body[0].exc).startswith("ValueError(")
+                  for node in ast.walk(stmt.test)}
+        exempt |= {id(node) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                   and any(isinstance(side, ast.Call) and ast.unparse(side).startswith("rng.")
+                           for side in [node.left, *node.comparators])}
+        hits += [f"{module}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Compare) and id(node) not in exempt
+                 and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)
+                 and any(_is_threshold(sub) for side in [node.left, *node.comparators]
+                         for sub in ast.walk(side))]
+    assert hits == []
 
 
 def _pair_classes() -> dict[str, ast.ClassDef]:
