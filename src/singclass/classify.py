@@ -6,13 +6,13 @@ rank) and stops at the first decisive event: J_k clearly nonzero (a
 k-singularity; at k = 0, no singular point), I_{k+1} dependent while J_k
 vanishes (maximal k-transverse; at k = 0, not 1-transverse), or the cap.
 
-Every decision reads ``linalg.negligible``: rank decisions against the
-largest singular value at tol_rank, and zero tests by its hysteresis form
-``linalg.zero_state`` (``Tolerances.zero_states``) against the largest |J| seen
-so far, with a band between tol_zero and tol_nonzero whose values make the
-verdict Indeterminate rather than silently picking a side.  Both evaluation routes (the pair functionals on the
-original coordinates and the reduced-scalar derivatives) run by default and
-must agree.
+Every decision reads ``linalg.negligible``: ranks against sigma_max at tol_rank,
+and zero tests by ``linalg.zero_state``, whose band between tol_zero and
+tol_nonzero makes the verdict Indeterminate rather than a guess.  J_0 is judged
+against itself, J_k (k >= 1) as the cosine |J_k| / (|P I_k| |phi_0|) against 0
+(P projects out I_1 .. I_{k-1}), free of the pair's units and the grid size.
+Both evaluation routes (the pair functionals on the original coordinates and
+the reduced-scalar derivatives) run by default and must agree.
 """
 
 from __future__ import annotations
@@ -38,6 +38,9 @@ INDETERMINATE = "Indeterminate"
 
 @dataclass(frozen=True)
 class Tolerances:
+    """Thresholds of the one rule: ``rank`` on sigma / sigma_max; ``zero`` and ``nonzero``
+    bound a zero test's band, relative thresholds on the cosine of each J_k, k >= 1."""
+
     rank: float = linalg.DEFAULT_RANK_TOL
     zero: float = 1e-6
     nonzero: float = 1e-3
@@ -99,7 +102,7 @@ class Classification:
 
 
 def _run_route(route: str, pair_id: str, functionals, k_cap: int, tol: Tolerances) -> RouteEvidence:
-    """The decision loop over one route's ``J(k)`` / ``row(k)`` functionals."""
+    """The decision loop over one route's ``J(k)`` / ``row(k)`` / ``phi0`` functionals."""
     ev = RouteEvidence(route=route, pair_id=pair_id)
 
     def finish(kind, stage=None):  # the order reached is the loop's k
@@ -107,10 +110,12 @@ def _run_route(route: str, pair_id: str, functionals, k_cap: int, tol: Tolerance
         ev.k = None if kind in (NOT_ONE_TRANSVERSE, INDETERMINATE) else k
         return ev
 
-    rows, k = [], 0
+    rows, k, phi_norm = [], 0, np.linalg.norm(functionals.phi0)
     while True:
-        ev.J_values.append(functionals.J(k))
-        state = tol.zero_states(ev.J_values)[-1]
+        ev.J_values.append(J := functionals.J(k))
+        sv = ev.singular_values  # |P I_k| = vol(I_1 .. I_k) / vol(I_1 .. I_{k-1}), products of sigma
+        scale = np.prod(sv[k]) / np.prod(sv.get(k - 1, 1.0)) * phi_norm if k else 1.0
+        state = linalg.zero_state(J / scale, 0.0 if k else J, tol.zero, tol.nonzero)
         if state == "nonzero" and k > 0:
             return finish(K_SINGULARITY)
         if state != "zero":  # undecided, or a nonzero J_0: the point is not singular

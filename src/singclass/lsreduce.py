@@ -47,6 +47,10 @@ class LSModel:
     def n(self) -> int:
         return self.model.n
 
+    @property
+    def phi0(self) -> np.ndarray:  # the kernel direction in the coordinates (t, z)
+        return np.eye(1, self.n)[0]
+
     # -- alpha and its jet inverse -------------------------------------------
 
     def alpha(self, x):
