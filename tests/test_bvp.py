@@ -272,9 +272,7 @@ class TestQuarticProblem:
 
 
 class TestLargeGridLsRoute:
-    """The ls route at N = 1024, where each row is one adjoint solve.  The
-    p = 1 verdict is not asserted: the absolute zero test still leaves
-    J_3 = 24 N^-1.5 inside its tolerance band at this size."""
+    """The ls route at N = 1024, where each row is one adjoint solve."""
 
     N = 1024
 
@@ -289,6 +287,27 @@ class TestLargeGridLsRoute:
     def test_j3_matches_closed_form(self):
         ev = self.classify(1.0).evidence.routes[0]
         assert ev.J_values[3] == pytest.approx(24.0 * self.N**-1.5, rel=1e-9)
+
+
+@pytest.mark.parametrize("N, p, route, verdict", [
+    (64, 0.05, "ls", "KSingularity(3)"),
+    (128, 0.05, "ls", "KSingularity(3)"),
+    (256, 0.05, "ls", "KSingularity(3)"),
+    (512, 1.0, "ls", "KSingularity(3)"),
+    (1024, 1.0, "ls", "KSingularity(3)"),
+    (1024, 0.0, "ls", "MaximalKTransverse(2)"),
+    (128, 0.05, "both", "KSingularity(3)"),
+])
+def test_verdict_does_not_move_with_the_grid(N, p, route, verdict):
+    """With the unit-norm pair J_3 = 24 mean(p) N^-1.5, which falls between
+    tol_zero and tol_nonzero at several N; judged as a cosine of its row, it
+    gives the same verdict at every N."""
+    model = make_periodic_bvp(PeriodicProblem(N=N, a_terms=A_SIN, p_terms=((0, p, 0.0),)))
+    c = classify_point(model, np.zeros(N), k_cap=4, route=route)
+    assert c.describe() == verdict
+    if p:
+        for ev in c.evidence.routes:
+            assert ev.J_values[3] == pytest.approx(24.0 * p * N**-1.5, rel=1e-9)
 
 
 class TestLargeGridFiberingRoute:

@@ -219,6 +219,17 @@ class TestBvpCommand:
         assert data["result.kind"] == "KSingularity" and data["result.k"] == 3
         assert abs(data["oracle.J3_numeric"] - 24.0) < 1e-4
 
+    def test_small_quartic_term_at_128_points(self, tmp_path):
+        """J_3 = 24 mean(p) N^-1.5 = 8.3e-4 here; judged as a cosine of its row
+        it is decisively nonzero, on both routes."""
+        out = tmp_path / "b.txt"
+        code = run(["bvp", "--bvp-n", "128", "--bvp-a", "[(1, 0.0, 1.0)]",
+                    "--bvp-p", "[(0, 0.05, 0.0)]", "--out", str(out)])
+        assert code == 0
+        data = parse(out.read_text())
+        assert (data["result.kind"], data["result.k"]) == ("KSingularity", 3)
+        assert abs(data["oracle.J3_numeric"] - 1.2) < 1e-9
+
     def test_quartic_report_below_64_points(self, tmp_path):
         out = tmp_path / "b.txt"
         code = run(["bvp", "--bvp-n", "32", "--bvp-a", "[(1, 0.0, 1.0)]",

@@ -74,7 +74,7 @@ def test_one_decision_rule():
 
 
 def _is_threshold(node: ast.AST) -> bool:
-    """A tolerance (``tol.<field>``, or ``self.<field>`` inside ``Tolerances``),
+    """A tolerance (``tol.<field>`` or ``self.<field>`` for a field of ``Tolerances``),
     a ``*_TOL``, ``*TARGET`` or ``_NEWTON_MIN_CUT`` constant, or a float literal."""
     from singclass.classify import Tolerances
 
