@@ -113,7 +113,7 @@ def _run_route(route: str, pair_id: str, functionals, k_cap: int, tol: Tolerance
     rows, k, phi_norm = [], 0, np.linalg.norm(functionals.phi0)
     while True:
         ev.J_values.append(J := functionals.J(k))
-        sv = ev.singular_values  # |P I_k| = vol(I_1 .. I_k) / vol(I_1 .. I_{k-1}), products of sigma
+        sv = ev.singular_values  # |P I_k| = vol(I_1 .. I_k) / vol(I_1 .. I_{k-1}): sigma products
         scale = np.prod(sv[k]) / np.prod(sv.get(k - 1, 1.0)) * phi_norm if k else 1.0
         state = linalg.zero_state(J / scale, 0.0 if k else J, tol.zero, tol.nonzero)
         if state == "nonzero" and k > 0:
